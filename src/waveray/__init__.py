@@ -21,7 +21,6 @@ from .errors import (
     DivergenceError,
     WaverayError,
 )
-from .fft import ComplexTensor, fft2, ifft2
 from .gradcheck import finite_diff_check, run_scope
 from .model import (
     ModelConfig,

@@ -177,6 +177,56 @@ class Tensor:
         return scale(self, -1.0)
 
 
+class Module:
+    """Base of every layer: names its parameters by walking its attributes.
+
+    Naming rule: a gradient-requiring Tensor is named after its attribute, a
+    Module child prefixes its own names with its attribute, a list ``xs`` of
+    modules names its items ``x0``, ``x1``, ..., and an object reached twice
+    (a shared RayField) keeps the first name it was reached under.
+    Attributes are walked in assignment order, so the constructor fixes the
+    parameter order.
+    """
+
+    def named_params(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+        return [(name, t) for name, t in self._walk(prefix, set()) if isinstance(t, Tensor)]
+
+    def _walk(self, prefix: str, seen: set):
+        """Yield (name, object) for every parameter and submodule, depth first."""
+        for attr, value in vars(self).items():
+            items = ([(f"{attr[:-1]}{i}", v) for i, v in enumerate(value)]
+                     if isinstance(value, list) else [(attr, value)])
+            for name, obj in items:
+                is_param = isinstance(obj, Tensor) and obj.requires_grad
+                if id(obj) in seen or not (is_param or isinstance(obj, Module)):
+                    continue
+                seen.add(id(obj))
+                path = f"{prefix}.{name}" if prefix else name
+                yield path, obj
+                if isinstance(obj, Module):
+                    yield from obj._walk(path, seen)
+
+
+class LayerNorm(Module):
+    """Per-channel gain (ones) and shift (zeros) for :func:`layer_norm`."""
+
+    def __init__(self, channels: int):
+        self.gain = Tensor(np.ones(channels), requires_grad=True)
+        self.shift = Tensor(np.zeros(channels), requires_grad=True)
+
+    def forward(self, x) -> Tensor:
+        return layer_norm(x, self.gain, self.shift)
+
+
+class Affine(Module):
+    """A weight ``w`` and a zero-initialized bias ``b`` of ``n_out`` entries;
+    the owner decides how they are applied (matmul or pointwise conv)."""
+
+    def __init__(self, weight: np.ndarray, n_out: int):
+        self.w = Tensor(weight, requires_grad=True)
+        self.b = Tensor(np.zeros(n_out), requires_grad=True)
+
+
 class _Node:
     __slots__ = ("inputs", "out", "backward")
 

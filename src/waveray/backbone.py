@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import LayerNorm, Module, Tensor
 from .errors import ConfigError, ShapeError
 from .ops import conv2d, pointwise_conv, sep_conv1d
 from .rays import RayField, RayLayer
@@ -27,7 +27,7 @@ DEFAULT_LOW = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 DEFAULT_HIGH = (-0.25, -0.5, 1.5, -0.5, -0.25)
 
 
-class WaveFilterPair:
+class WaveFilterPair(Module):
     """Learnable low/high tap vectors (lengths 3 and 5), shared by every
     channel of the owning block.
 
@@ -39,9 +39,6 @@ class WaveFilterPair:
     def __init__(self):
         self.low = Tensor(np.array(DEFAULT_LOW), requires_grad=True)
         self.high = Tensor(np.array(DEFAULT_HIGH), requires_grad=True)
-
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.low", self.low), (f"{prefix}.high", self.high)]
 
 
 def wave_decompose(f, filters: WaveFilterPair, stride: int = 1):
@@ -124,16 +121,12 @@ def _he_pointwise(rng, cout: int, cin: int) -> Tensor:
     return Tensor(rng.normal(0.0, np.sqrt(2.0 / cin), (cout, cin)), requires_grad=True)
 
 
-def _norm_pair(c: int) -> tuple[Tensor, Tensor]:
-    return Tensor(np.ones(c), requires_grad=True), Tensor(np.zeros(c), requires_grad=True)
-
-
-class Stem:
+class Stem(Module):
     """7x7 stride-2 convolution (pad 3) over RGB, then norm and GELU."""
 
     def __init__(self, channels: int, rng):
         self.kernel = _he_conv(rng, channels, 3, 7, 7)
-        self.norm_gain, self.norm_shift = _norm_pair(channels)
+        self.norm = LayerNorm(channels)
 
     def forward(self, images: Tensor) -> Tensor:
         if images.ndim != 4 or images.shape[1] != 3:
@@ -142,39 +135,25 @@ class Stem:
         if h < 14 or w < 14 or h % 2 or w % 2:
             raise ShapeError(f"stem needs even extents of at least 14, got {h}x{w}")
         x = conv2d(images, self.kernel, stride=(2, 2), padding=(3, 3))
-        return ad.gelu(ad.layer_norm(x, self.norm_gain, self.norm_shift))
-
-    def named_params(self, prefix: str) -> list:
-        return [
-            (f"{prefix}.kernel", self.kernel),
-            (f"{prefix}.norm.gain", self.norm_gain),
-            (f"{prefix}.norm.shift", self.norm_shift),
-        ]
+        return ad.gelu(self.norm.forward(x))
 
 
-class ExtractStage:
+class ExtractStage(Module):
     """Decimating decomposition: four stride-2 bands, concatenated and
     mixed down to the stage's output width, then norm and GELU."""
 
     def __init__(self, cin: int, cout: int, rng):
         self.filters = WaveFilterPair()
         self.mix = _he_pointwise(rng, cout, 4 * cin)
-        self.norm_gain, self.norm_shift = _norm_pair(cout)
+        self.norm = LayerNorm(cout)
 
     def forward(self, x: Tensor) -> Tensor:
         bands = wave_decompose(x, self.filters, stride=2)
         x = pointwise_conv(ad.concat(bands, axis=1), self.mix)
-        return ad.gelu(ad.layer_norm(x, self.norm_gain, self.norm_shift))
-
-    def named_params(self, prefix: str) -> list:
-        return self.filters.named_params(f"{prefix}.filters") + [
-            (f"{prefix}.mix", self.mix),
-            (f"{prefix}.norm.gain", self.norm_gain),
-            (f"{prefix}.norm.shift", self.norm_shift),
-        ]
+        return ad.gelu(self.norm.forward(x))
 
 
-class ModulationBlock:
+class ModulationBlock(Module):
     """Pre-normalized residual block gating a value branch with a wavelet
     context branch.
 
@@ -189,7 +168,7 @@ class ModulationBlock:
         if channels % bottleneck:
             raise ConfigError(f"channels {channels} not divisible by bottleneck {bottleneck}")
         self.channels = channels
-        self.norm_gain, self.norm_shift = _norm_pair(channels)
+        self.norm = LayerNorm(channels)
         self.filters = WaveFilterPair()
         self.context_proj = _he_pointwise(rng, channels // bottleneck, channels)
         self.value_proj = _he_pointwise(rng, channels, channels)
@@ -213,43 +192,26 @@ class ModulationBlock:
     def forward(self, x: Tensor, context_override: Tensor = None) -> Tensor:
         if x.shape[1] != self.channels:
             raise ShapeError(f"block built for {self.channels} channels, got {x.shape[1]}")
-        h = ad.layer_norm(x, self.norm_gain, self.norm_shift)
+        h = self.norm.forward(x)
         a = self.context(h) if context_override is None else context_override
         v = pointwise_conv(h, self.value_proj)
         return ad.add(x, pointwise_conv(ad.mul(a, v), self.out_proj))
 
-    def named_params(self, prefix: str) -> list:
-        return [
-            (f"{prefix}.norm.gain", self.norm_gain),
-            (f"{prefix}.norm.shift", self.norm_shift),
-        ] + self.filters.named_params(f"{prefix}.filters") + [
-            (f"{prefix}.context_proj", self.context_proj),
-            (f"{prefix}.value_proj", self.value_proj),
-            (f"{prefix}.out_proj", self.out_proj),
-        ]
 
-
-class WavePool:
+class WavePool(Module):
     """Pair-fusion pooling: decompose, add complementary bands (LL+HH and
     LH+HL), mix 2C down to the next width, then normalize."""
 
     def __init__(self, cin: int, cout: int, rng, stride: int = 2):
         self.filters = WaveFilterPair()
         self.mix = _he_pointwise(rng, cout, 2 * cin)
-        self.norm_gain, self.norm_shift = _norm_pair(cout)
+        self.norm = LayerNorm(cout)
         self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
         ll, lh, hl, hh = wave_decompose(x, self.filters, stride=self.stride)
         fused = ad.concat([ad.add(ll, hh), ad.add(lh, hl)], axis=1)
-        return ad.layer_norm(pointwise_conv(fused, self.mix), self.norm_gain, self.norm_shift)
-
-    def named_params(self, prefix: str) -> list:
-        return self.filters.named_params(f"{prefix}.filters") + [
-            (f"{prefix}.mix", self.mix),
-            (f"{prefix}.norm.gain", self.norm_gain),
-            (f"{prefix}.norm.shift", self.norm_shift),
-        ]
+        return self.norm.forward(pointwise_conv(fused, self.mix))
 
 
 class FeaturePyramid:
@@ -271,20 +233,20 @@ class FeaturePyramid:
         return iter(self.entries)
 
 
-class _RefinementStage:
+class _RefinementStage(Module):
     def __init__(self, cin: int, cout: int, cfg: BackboneConfig, rng, n_ray_layers: int,
                  n_origins: int, shared_field: RayField, last: bool):
         self.blocks = [
             ModulationBlock(cin, rng, cfg.bottleneck_factor) for _ in range(cfg.blocks_per_stage)
         ]
-        self.ray_layers = [
+        self.rays = [
             RayLayer(cin, n_origins=n_origins, rng=rng, field=shared_field)
             for _ in range(n_ray_layers)
         ]
         self.pool = WavePool(cin, cout, rng, stride=1 if last else 2)
 
 
-class Backbone:
+class Backbone(Module):
     """Stem, extraction and refinement composed into one feature pyramid."""
 
     def __init__(self, cfg: BackboneConfig, rng, ray_layer_counts=None, n_origins: int = 12,
@@ -317,7 +279,7 @@ class Backbone:
         for i, stage in enumerate(self.stages):
             for block in stage.blocks:
                 x = block.forward(x)
-            for ray in stage.ray_layers:
+            for ray in stage.rays:
                 x, amap = ray.forward(x)
                 maps.append(amap)
             if i < n_stages - 1:
@@ -327,20 +289,3 @@ class Backbone:
                 x = stage.pool.forward(x)
                 entries.append((i, x))
         return FeaturePyramid(entries), maps
-
-    def named_params(self) -> list:
-        out = self.stem.named_params("stem")
-        for i, stage in enumerate(self.extracts):
-            out.extend(stage.named_params(f"extract{i}"))
-        for i, stage in enumerate(self.stages):
-            for j, block in enumerate(stage.blocks):
-                out.extend(block.named_params(f"stage{i}.block{j}"))
-            for j, ray in enumerate(stage.ray_layers):
-                out.extend(ray.named_params(f"stage{i}.ray{j}"))
-            out.extend(stage.pool.named_params(f"stage{i}.pool"))
-        return out
-
-
-def backbone_forward(images, backbone: Backbone):
-    """Convenience wrapper: run the backbone, returning (pyramid, maps)."""
-    return backbone.forward(images)

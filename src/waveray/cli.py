@@ -122,8 +122,7 @@ def build_configs(values: dict) -> tuple[ModelConfig, TrainConfig]:
     for key in _TRAIN_KEYS:
         if key in typed:
             tc = replace(tc, **{key: typed[key]})
-    if tc.precision not in ("single", "double"):
-        raise ConfigError(f"precision must be 'single' or 'double', got {tc.precision!r}")
+    tc.validate()
     return model, tc
 
 

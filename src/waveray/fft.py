@@ -1,12 +1,12 @@
-"""Radix-2 FFT over the last two axes, plus a small complex container.
+"""Radix-2 FFT over the last two axes.
 
 The forward transform is unnormalized; the inverse carries the full
 1/(H*W) factor.  Extents must be powers of two: spectral mixing only ever
 runs on maps sized 2^k (the encoder enforces this), which keeps the kernel
 a plain iterative butterfly pass, vectorized over all leading axes.
 
-Transforms are computed in complex128 regardless of the ambient precision
-and cast back on the way out.
+Transforms are computed and returned in complex128 regardless of the
+ambient precision; callers cast the real part back.
 """
 
 from __future__ import annotations
@@ -15,45 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .autodiff import Tensor, _as_tensor, default_dtype
 from .errors import ShapeError
-
-
-class ComplexTensor:
-    """A complex array stored as separate real and imaginary parts.
-
-    Purely forward-mode plumbing: the spectral ops that need gradients
-    implement their backward rules directly on real tensors, so nothing
-    here records onto a tape.
-    """
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real, imag):
-        real = np.asarray(real)
-        imag = np.asarray(imag)
-        if real.shape != imag.shape:
-            raise ShapeError(f"real/imag shapes differ: {real.shape} vs {imag.shape}")
-        self.real = real
-        self.imag = imag
-
-    @classmethod
-    def from_complex(cls, arr: np.ndarray) -> "ComplexTensor":
-        arr = np.asarray(arr)
-        return cls(np.ascontiguousarray(arr.real), np.ascontiguousarray(arr.imag))
-
-    def to_complex(self) -> np.ndarray:
-        return self.real + 1j * self.imag
-
-    @property
-    def shape(self) -> tuple:
-        return self.real.shape
-
-    def abs2(self) -> np.ndarray:
-        return self.real * self.real + self.imag * self.imag
-
-    def __repr__(self) -> str:
-        return f"ComplexTensor(shape={self.shape})"
 
 
 def _require_pow2(n: int, axis_name: str) -> None:
@@ -114,17 +76,3 @@ def ifft2_array(arr: np.ndarray) -> np.ndarray:
     a = np.swapaxes(_fft_last_axis(np.swapaxes(a, -1, -2), 1.0), -1, -2)
     a /= a.shape[-1] * a.shape[-2]
     return np.ascontiguousarray(a)
-
-
-def fft2(x: Tensor) -> ComplexTensor:
-    """2-D FFT of a real tensor's last two axes."""
-    x = _as_tensor(x)
-    return ComplexTensor.from_complex(fft2_array(x.data))
-
-
-def ifft2(x: ComplexTensor) -> Tensor:
-    """Real part of the inverse 2-D FFT, cast to the current precision."""
-    if not isinstance(x, ComplexTensor):
-        raise TypeError(f"ifft2 expects a ComplexTensor, got {type(x).__name__}")
-    res = ifft2_array(x.to_complex())
-    return Tensor(res.real.astype(default_dtype()))

@@ -276,19 +276,12 @@ OP_PROBES = [
 ]
 
 
-def _params_of(named, limit=None) -> dict[str, Tensor]:
-    out = dict(named)
-    if limit is not None:
-        out = dict(list(out.items())[:limit])
-    return out
-
-
 def _probe_stem(rng):
     stem = Stem(4, rng)
     x = Tensor(rng.normal(size=(1, 3, 14, 14)), requires_grad=True)
     run = lambda: stem.forward(x)
     s = _scalarize(run(), rng)
-    inputs = {"x": x, **_params_of(stem.named_params("stem"))}
+    inputs = {"x": x, **dict(stem.named_params("stem"))}
     return lambda: s(run()), inputs
 
 
@@ -311,7 +304,7 @@ def _probe_extract_stage(rng):
     x = Tensor(rng.normal(size=(1, 4, 8, 8)), requires_grad=True)
     run = lambda: stage.forward(x)
     s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **_params_of(stage.named_params("ex"))}
+    return lambda: s(run()), {"x": x, **dict(stage.named_params("ex"))}
 
 
 def _probe_modulation_block(rng):
@@ -319,7 +312,7 @@ def _probe_modulation_block(rng):
     x = Tensor(rng.normal(size=(1, 8, 8, 8)), requires_grad=True)
     run = lambda: block.forward(x)
     s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **_params_of(block.named_params("blk"))}
+    return lambda: s(run()), {"x": x, **dict(block.named_params("blk"))}
 
 
 def _probe_wave_pool(rng):
@@ -327,7 +320,7 @@ def _probe_wave_pool(rng):
     x = Tensor(rng.normal(size=(1, 4, 6, 6)), requires_grad=True)
     run = lambda: pool.forward(x)
     s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **_params_of(pool.named_params("pool"))}
+    return lambda: s(run()), {"x": x, **dict(pool.named_params("pool"))}
 
 
 def _probe_attenuation(rng):
@@ -353,7 +346,7 @@ def _probe_ray_layer(rng):
     x = Tensor(rng.normal(size=(1, 4, 8, 8)), requires_grad=True)
     run = lambda: layer.forward(x)[0]
     s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **_params_of(layer.named_params("ray"))}
+    return lambda: s(run()), {"x": x, **dict(layer.named_params("ray"))}
 
 
 def _probe_encoder(rng):
@@ -361,7 +354,7 @@ def _probe_encoder(rng):
     x = Tensor(rng.normal(size=(1, 6, 4, 4)), requires_grad=True)
     run = lambda: enc.forward(x)[0]
     s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **_params_of(enc.named_params("enc"))}
+    return lambda: s(run()), {"x": x, **dict(enc.named_params("enc"))}
 
 
 BLOCK_PROBES = [

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _as_tensor, _record_op
+from .autodiff import Affine, Module, Tensor, _as_tensor, _record_op
 from .backbone import Backbone, BackboneConfig, FeaturePyramid
 from .errors import ConfigError, DataError, ShapeError
 from .rays import RayEncoder, RayField
@@ -133,7 +133,7 @@ def cross_entropy(logits, labels) -> Tensor:
     return _record_op(out, (logits,), bw)
 
 
-class WaveletClassifier:
+class WaveletClassifier(Module):
     """The full model: backbone, optional encoder, linear head."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -158,27 +158,9 @@ class WaveletClassifier:
         else:
             self.encoder = None
             head_in = deep_c
-        self.head_w = Tensor(rng.normal(0.0, 0.02, (head_in, config.classes)),
-                             requires_grad=True)
-        self.head_b = Tensor(np.zeros(config.classes), requires_grad=True)
-        self._params = self._collect_params()
-
-    def _collect_params(self) -> dict[str, Tensor]:
-        named = list(self.backbone.named_params())
-        if self.encoder is not None:
-            named.extend(self.encoder.named_params("encoder"))
-        named.append(("head.w", self.head_w))
-        named.append(("head.b", self.head_b))
-        out: dict[str, Tensor] = {}
-        seen: set[int] = set()
-        for name, t in named:
-            if name in out:
-                raise ConfigError(f"duplicate parameter name {name!r}")
-            if id(t) in seen:  # shared field registered under its first name
-                continue
-            seen.add(id(t))
-            out[name] = t
-        return out
+        self.head = Affine(rng.normal(0.0, 0.02, (head_in, config.classes)), config.classes)
+        # parameter names keep the backbone's components at the top level
+        self._params = {name.removeprefix("backbone."): p for name, p in self.named_params()}
 
     def parameters(self) -> dict[str, Tensor]:
         return self._params
@@ -210,7 +192,7 @@ class WaveletClassifier:
             pooled = ad.reduce_mean(tokens, axis=1)
         else:
             pooled = ad.global_avg_pool(deep)
-        logits = ad.add(ad.matmul(pooled, self.head_w), self.head_b)
+        logits = ad.add(ad.matmul(pooled, self.head.w), self.head.b)
         return logits, {"pyramid": pyramid, "maps": maps, "pooled": pooled}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -231,23 +213,8 @@ class WaveletClassifier:
             p.grad = None
 
     def ray_fields(self) -> list[RayField]:
-        fields = []
-        seen = set()
-        for stage in self.backbone.stages:
-            for ray in stage.ray_layers:
-                if id(ray.field) not in seen:
-                    seen.add(id(ray.field))
-                    fields.append(ray.field)
-        if self.encoder is not None:
-            for layer in self.encoder.layers:
-                if id(layer.field) not in seen:
-                    seen.add(id(layer.field))
-                    fields.append(layer.field)
-        return fields
-
-
-def classifier_forward(images, model: WaveletClassifier) -> Tensor:
-    return model.forward(images)
+        """Distinct ray fields, in parameter order."""
+        return [obj for _, obj in self._walk("", set()) if isinstance(obj, RayField)]
 
 
 def param_count(config: ModelConfig) -> tuple[dict[str, int], int]:

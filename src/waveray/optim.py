@@ -69,10 +69,6 @@ class AdamW:
     def step(self, lr: float) -> None:
         adamw_step(self.params, self.state, lr, self.weight_decay)
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def export_state(self) -> tuple[dict, dict, int]:
         return self.state.m, self.state.v, self.state.step
 

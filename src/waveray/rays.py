@@ -19,18 +19,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _as_tensor, _record_op
+from .autodiff import Affine, LayerNorm, Module, Tensor, _as_tensor, _record_op
 from .errors import ConfigError, ShapeError
 from .fft import fft2_array, ifft2_array
 from .ops import pointwise_conv
 
 
-def init_origins(n: int, seed=None) -> np.ndarray:
-    """n points evenly spaced on the unit circle, starting at (1, 0).
-
-    Deterministic; the seed argument is reserved for jittered variants and
-    is currently ignored.
-    """
+def init_origins(n: int) -> np.ndarray:
+    """n points evenly spaced on the unit circle, starting at (1, 0)."""
     if n < 1:
         raise ConfigError(f"need at least one origin, got {n}")
     angles = 2.0 * np.pi * np.arange(n) / n
@@ -108,7 +104,7 @@ def psf(dist, sigma) -> Tensor:
     return ad.mul(coef, expo)
 
 
-class RayField:
+class RayField(Module):
     """The learnable state of one ray bank: origins, widths, decays, gain."""
 
     def __init__(self, n_origins: int = 12, sigma0: float = 1.0, alpha0: float = 1.0,
@@ -130,14 +126,6 @@ class RayField:
     def alpha(self) -> Tensor:
         return ad.exp(self.log_alpha)
 
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.origins", self.origins),
-            (f"{prefix}.log_sigma", self.log_sigma),
-            (f"{prefix}.log_alpha", self.log_alpha),
-            (f"{prefix}.beta", self.beta),
-        ]
-
 
 class AttenuationMap:
     """Per-origin emphasis maps plus their combination, with grid extents."""
@@ -158,13 +146,11 @@ class AttenuationMap:
         return self.per_origin.data.reshape(-1, h, w)
 
 
-def attenuation(dist, field: RayField, extents=None, softmax_axis: str = "pixels",
-                combine: str = "mean") -> AttenuationMap:
+def attenuation(dist, field: RayField, extents=None) -> AttenuationMap:
     """Softmax-normalized emphasis maps from distances and field state.
 
     Row i of the logits is PSF(D_i) * beta * exp(-alpha_i * D_i).  The
-    softmax runs over pixels by default ("origins" is available for
-    experiments), and maps combine by arithmetic mean (or "sum").
+    softmax runs over pixels, and the maps combine by arithmetic mean.
     """
     dist = _as_tensor(dist)
     n, m = dist.shape
@@ -172,20 +158,13 @@ def attenuation(dist, field: RayField, extents=None, softmax_axis: str = "pixels
         raise ShapeError(f"distance matrix has {n} rows but the field has {field.n} origins")
     if extents is not None and extents[0] * extents[1] != m:
         raise ShapeError(f"extents {extents} do not cover {m} pixels")
-    if softmax_axis not in ("pixels", "origins"):
-        raise ConfigError(f"softmax_axis must be 'pixels' or 'origins', got {softmax_axis!r}")
-    if combine not in ("mean", "sum"):
-        raise ConfigError(f"combine must be 'mean' or 'sum', got {combine!r}")
 
     kmap = psf(dist, field.sigma())
     alpha_col = ad.reshape(field.alpha(), (n, 1))
     decay = ad.exp(ad.neg(ad.mul(alpha_col, dist)))
     logits = ad.mul(ad.mul(kmap, decay), ad.reshape(field.beta, (1, 1)))
-    per_origin = ad.softmax(logits, axis=1 if softmax_axis == "pixels" else 0)
-    if combine == "mean":
-        combined = ad.reduce_mean(per_origin, axis=0)
-    else:
-        combined = ad.reduce_sum(per_origin, axis=0)
+    per_origin = ad.softmax(logits, axis=1)
+    combined = ad.reduce_mean(per_origin, axis=0)
     if extents is None:
         side = int(round(np.sqrt(m)))
         extents = (side, m // side) if side * (m // side) == m else (1, m)
@@ -218,28 +197,33 @@ def spectral_modulate(f, mask) -> Tensor:
     return _record_op(out, (f, mask), bw)
 
 
-def _norm_params(c: int) -> tuple[Tensor, Tensor]:
-    return Tensor(np.ones(c), requires_grad=True), Tensor(np.zeros(c), requires_grad=True)
+class MLP(Module):
+    """Channel-mixing pointwise MLP: expand 4x, GELU, project back."""
 
-
-class RayLayer:
-    """Residual block: spectral modulation by the ray map, then a
-    channel-mixing MLP, both sub-blocks pre-normalized."""
-
-    def __init__(self, channels: int, n_origins: int = 12, rng=None, field: RayField = None,
-                 expand: int = 4):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.channels = channels
-        self.field = field if field is not None else RayField(n_origins)
-        self.norm1_gain, self.norm1_shift = _norm_params(channels)
-        self.norm2_gain, self.norm2_shift = _norm_params(channels)
-        hidden = expand * channels
+    def __init__(self, channels: int, rng):
+        hidden = 4 * channels
         self.w1 = Tensor(rng.normal(0.0, np.sqrt(2.0 / channels), (hidden, channels)),
                          requires_grad=True)
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
         self.w2 = Tensor(rng.normal(0.0, np.sqrt(2.0 / hidden), (channels, hidden)),
                          requires_grad=True)
         self.b2 = Tensor(np.zeros(channels), requires_grad=True)
+
+    def forward(self, x: Tensor) -> Tensor:
+        return pointwise_conv(ad.gelu(pointwise_conv(x, self.w1, self.b1)), self.w2, self.b2)
+
+
+class RayLayer(Module):
+    """Residual block: spectral modulation by the ray map, then a
+    channel-mixing MLP, both sub-blocks pre-normalized."""
+
+    def __init__(self, channels: int, n_origins: int = 12, rng=None, field: RayField = None):
+        rng = rng if rng is not None else np.random.default_rng(0)
+        self.channels = channels
+        self.field = field if field is not None else RayField(n_origins)
+        self.norm1 = LayerNorm(channels)
+        self.norm2 = LayerNorm(channels)
+        self.mlp = MLP(channels, rng)
 
     def forward(self, x: Tensor) -> tuple[Tensor, AttenuationMap]:
         if x.shape[1] != self.channels:
@@ -248,51 +232,27 @@ class RayLayer:
         grid = pixel_grid(h, w)
         dist = distance_matrix(self.field.origins, grid.as_tensor())
         amap = attenuation(dist, self.field, extents=(h, w))
-        pre = ad.layer_norm(x, self.norm1_gain, self.norm1_shift)
+        pre = self.norm1.forward(x)
         x = ad.add(x, spectral_modulate(pre, ad.reshape(amap.combined, (h, w))))
-        pre = ad.layer_norm(x, self.norm2_gain, self.norm2_shift)
-        mixed = pointwise_conv(ad.gelu(pointwise_conv(pre, self.w1, self.b1)), self.w2, self.b2)
-        return ad.add(x, mixed), amap
-
-    def named_params(self, prefix: str, include_field: bool = True) -> list:
-        out = []
-        if include_field:
-            out.extend(self.field.named_params(f"{prefix}.field"))
-        out.extend([
-            (f"{prefix}.norm1.gain", self.norm1_gain),
-            (f"{prefix}.norm1.shift", self.norm1_shift),
-            (f"{prefix}.norm2.gain", self.norm2_gain),
-            (f"{prefix}.norm2.shift", self.norm2_shift),
-            (f"{prefix}.mlp.w1", self.w1),
-            (f"{prefix}.mlp.b1", self.b1),
-            (f"{prefix}.mlp.w2", self.w2),
-            (f"{prefix}.mlp.b2", self.b2),
-        ])
-        return out
+        return ad.add(x, self.mlp.forward(self.norm2.forward(x))), amap
 
 
-class RayEncoder:
+class RayEncoder(Module):
     """Projects the deepest pyramid map down to the token width, applies a
     stack of ray layers and emits a row-major token sequence."""
 
     def __init__(self, in_channels: int, d_model: int = 256, n_layers: int = 3,
-                 n_origins: int = 12, rng=None, share_fields: bool = False):
+                 n_origins: int = 12, rng=None):
         rng = rng if rng is not None else np.random.default_rng(0)
         if n_layers < 0:
             raise ConfigError(f"layer count must be nonnegative, got {n_layers}")
         self.d_model = d_model
-        self.proj_w = Tensor(rng.normal(0.0, np.sqrt(2.0 / in_channels), (d_model, in_channels)),
-                             requires_grad=True)
-        self.proj_b = Tensor(np.zeros(d_model), requires_grad=True)
-        shared = RayField(n_origins) if (share_fields and n_layers) else None
-        self.layers = [
-            RayLayer(d_model, n_origins=n_origins, rng=rng, field=shared)
-            for _ in range(n_layers)
-        ]
-        self.shared_fields = share_fields
+        self.proj = Affine(rng.normal(0.0, np.sqrt(2.0 / in_channels), (d_model, in_channels)),
+                           d_model)
+        self.layers = [RayLayer(d_model, n_origins=n_origins, rng=rng) for _ in range(n_layers)]
 
     def forward(self, deepest: Tensor) -> tuple[Tensor, list[AttenuationMap]]:
-        x = pointwise_conv(deepest, self.proj_w, self.proj_b)
+        x = pointwise_conv(deepest, self.proj.w, self.proj.b)
         maps = []
         for layer in self.layers:
             x, amap = layer.forward(x)
@@ -300,10 +260,3 @@ class RayEncoder:
         n, d, h, w = x.shape
         tokens = ad.reshape(ad.transpose(x, (0, 2, 3, 1)), (n, h * w, d))
         return tokens, maps
-
-    def named_params(self, prefix: str) -> list:
-        out = [(f"{prefix}.proj.w", self.proj_w), (f"{prefix}.proj.b", self.proj_b)]
-        for i, layer in enumerate(self.layers):
-            include = (not self.shared_fields) or i == 0
-            out.extend(layer.named_params(f"{prefix}.layer{i}", include_field=include))
-        return out

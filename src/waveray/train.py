@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tape, Tensor, backward, get_precision
 from .checkpoint import CheckpointState, save_checkpoint
 from .data import Dataset, write_origin_csv
-from .errors import DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .model import WaveletClassifier, cross_entropy
 from .optim import AdamW, one_cycle_cosine_lr
 
@@ -37,6 +37,16 @@ class TrainConfig:
     seed: int = 0
     precision: str = "single"
     checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = final only
+
+    def validate(self) -> None:
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be positive, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
+        if self.precision not in ("single", "double"):
+            raise ConfigError(f"precision must be 'single' or 'double', got {self.precision!r}")
 
 
 @dataclass
@@ -76,6 +86,8 @@ def _weighted_f1(conf: np.ndarray) -> float:
 
 def evaluate(model: WaveletClassifier, dataset: Dataset, batch_size: int = 64) -> Metrics:
     """Forward-only pass over the dataset; loss is the exact mean."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be positive, got {batch_size}")
     n = len(dataset)
     if n == 0:
         raise DataError("cannot evaluate on an empty dataset")
@@ -119,6 +131,7 @@ def train(model: WaveletClassifier, dataset: Dataset, cfg: TrainConfig, out_dir=
 
     Raises DivergenceError as soon as a batch loss goes non-finite.
     """
+    cfg.validate()
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
     log = log_stream if log_stream is not None else sys.stderr

@@ -207,8 +207,8 @@ class TestWavePool:
             mu = mixed.mean(axis=1, keepdims=True)
             var = mixed.var(axis=1, keepdims=True)
             xhat = (mixed - mu) / np.sqrt(var + 1e-5)
-            want = (xhat * pool.norm_gain.data[:, None, None]
-                    + pool.norm_shift.data[:, None, None])
+            want = (xhat * pool.norm.gain.data[:, None, None]
+                    + pool.norm.shift.data[:, None, None])
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 

@@ -152,6 +152,19 @@ class TestTrain:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,match", [
+        (("--batch-size", 0), "batch_size"),
+        (("--epochs", 0), "epochs"),
+        (("--checkpoint-every", -1), "checkpoint_every"),
+    ])
+    def test_bad_loop_sizes_are_config_errors(self, synth_dir, tmp_path, capsys, flags, match):
+        code = run_cli("train", "--data", synth_dir, "--out", tmp_path / "o", "--epochs", 1,
+                       "--batch-size", 8, "--set", "classes=2", *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+        assert not (tmp_path / "o" / "checkpoint_final.wrnc").exists()
+
 
 class TestEval:
     def test_reproduces_final_training_metrics(self, trained_dir, synth_dir, capsys):
@@ -166,6 +179,12 @@ class TestEval:
         assert got[0] == want[0] == "2"
         assert got[1:5] == want[1:5]
         assert got[5] == "0"
+
+    def test_zero_batch_size_is_config_error(self, trained_dir, synth_dir, capsys):
+        code = run_cli("eval", "--checkpoint", trained_dir / "checkpoint_final.wrnc",
+                       "--data", synth_dir, "--batch-size", 0)
+        assert code == 1
+        assert "batch_size" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, synth_dir, tmp_path, capsys):
         code = run_cli("eval", "--checkpoint", tmp_path / "none.wrnc", "--data", synth_dir)

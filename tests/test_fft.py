@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from waveray.autodiff import Tensor, precision
 from waveray.errors import ShapeError
-from waveray.fft import ComplexTensor, fft2, fft2_array, ifft2, ifft2_array
+from waveray.fft import fft2_array, ifft2_array
 
 
 def dft2_oracle(x):
@@ -73,34 +72,3 @@ class TestInverse:
     def test_matches_numpy(self, rng):
         z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         np.testing.assert_allclose(ifft2_array(z), np.fft.ifft2(z), atol=1e-12)
-
-
-class TestTensorWrappers:
-    def test_fft2_returns_complex_tensor(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)))
-        spec = fft2(x)
-        assert isinstance(spec, ComplexTensor)
-        assert spec.shape == (2, 3, 4, 4)
-        np.testing.assert_allclose(spec.to_complex(), np.fft.fft2(x.data), atol=1e-5)
-
-    def test_ifft2_round_trip_single_precision(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 8, 8)))
-        back = ifft2(fft2(x))
-        assert back.dtype == np.float32
-        rel = np.abs(back.data - x.data).max() / np.abs(x.data).max()
-        assert rel < 1e-5
-
-    def test_ifft2_round_trip_double(self, rng):
-        with precision("double"):
-            x = Tensor(rng.normal(size=(4, 4)))
-            back = ifft2(fft2(x))
-            assert back.dtype == np.float64
-            np.testing.assert_allclose(back.data, x.data, atol=1e-12)
-
-    def test_complex_tensor_shape_check(self):
-        with pytest.raises(ShapeError):
-            ComplexTensor(np.zeros((2, 2)), np.zeros((3, 2)))
-
-    def test_abs2(self):
-        ct = ComplexTensor(np.array([3.0]), np.array([4.0]))
-        np.testing.assert_allclose(ct.abs2(), [25.0])

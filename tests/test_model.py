@@ -1,5 +1,7 @@
 """Classifier assembly, loss and parameter accounting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,8 @@ class TestRayRouting:
         assert [m.extents for m in aux["maps"]] == [(4, 4), (2, 2), (2, 2)]
 
     def test_head_input_switches_at_full_budget(self):
-        assert WaveletClassifier(desk_config(rays=2), seed=0).head_w.shape == (64, 3)
-        assert WaveletClassifier(desk_config(rays=3), seed=0).head_w.shape == (32, 3)
+        assert WaveletClassifier(desk_config(rays=2), seed=0).head.w.shape == (64, 3)
+        assert WaveletClassifier(desk_config(rays=3), seed=0).head.w.shape == (32, 3)
 
     def test_pooled_aux_matches_head_input(self, rng):
         model = WaveletClassifier(desk_config(rays=0), seed=0)
@@ -182,6 +184,27 @@ class TestClassifier:
 
 
 class TestParamCount:
+    @pytest.mark.parametrize("preset,rays,share,count,size,digest", [
+        (desk_config, 0, False, 53, 13923, "2d367d8b4d5a9b8f"),
+        (desk_config, 1, False, 65, 16164, "d6f1695472a3cc15"),
+        (desk_config, 2, False, 77, 24693, "a432e3c81b88e540"),
+        (desk_config, 3, False, 91, 35206, "cf06c3b355cf9e15"),
+        (desk_config, 3, True, 83, 35108, "b46c46897265eed5"),
+        (table1_config, 0, False, 109, 11990760, "b9687407c635c4dd"),
+        (table1_config, 1, False, 121, 12024153, "999a6bc0cb5ee5cf"),
+        (table1_config, 2, False, 133, 14125962, "33f836eca3d03b55"),
+        (table1_config, 3, False, 147, 11861435, "05960d4f0859ef56"),
+    ])
+    def test_parameter_names_are_pinned(self, preset, rays, share, count, size, digest):
+        """Checkpoints are keyed by these ordered names: a change here stops
+        saved checkpoints from loading."""
+        cfg = preset(rays=rays)
+        cfg.share_ray_fields = share
+        params = WaveletClassifier(cfg, seed=0).parameters()
+        assert len(params) == count
+        assert sum(p.size for p in params.values()) == size
+        assert hashlib.sha256("\n".join(params).encode()).hexdigest()[:16] == digest
+
     def test_deterministic(self):
         assert param_count(desk_config(rays=2)) == param_count(desk_config(rays=2))
 

@@ -124,13 +124,6 @@ class TestAdamW:
             run(2, opt3, p3, 2)
         np.testing.assert_allclose(p3.data, p1.data, atol=1e-15)
 
-    def test_zero_grads_clears(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        p.grad = np.ones(2)
-        opt = AdamW({"p": p})
-        opt.zero_grads()
-        assert p.grad is None
-
 
 class TestSchedule:
     PEAK = 3e-3

@@ -140,18 +140,6 @@ class TestAttenuation:
         amap = attenuation(d, field, extents=(4, 4))
         np.testing.assert_allclose(amap.per_origin.data, np.full((3, 16), 1.0 / 16), atol=1e-6)
 
-    def test_softmax_axis_switch(self, rng):
-        field = _random_field(rng)
-        d = distance_matrix(field.origins, Tensor(pixel_grid(4, 4).coords))
-        amap = attenuation(d, field, extents=(4, 4), softmax_axis="origins")
-        np.testing.assert_allclose(amap.per_origin.data.sum(axis=0), np.ones(16), atol=1e-6)
-
-    def test_combine_sum_variant(self, rng):
-        field = _random_field(rng)
-        d = distance_matrix(field.origins, Tensor(pixel_grid(4, 4).coords))
-        amap = attenuation(d, field, extents=(4, 4), combine="sum")
-        np.testing.assert_allclose(amap.combined.data.sum(), 6.0, rtol=1e-5)
-
     def test_rotation_symmetry_of_initial_field(self):
         """With origins on the circle and shared widths, advancing the
         origin index by n/4 rotates its map by a quarter turn."""
@@ -263,7 +251,7 @@ class TestRayEncoder:
         # row-major: token i*W+j must equal the projected pixel (i, j)
         from waveray.ops import pointwise_conv
 
-        proj = pointwise_conv(x, enc.proj_w, enc.proj_b).data
+        proj = pointwise_conv(x, enc.proj.w, enc.proj.b).data
         np.testing.assert_allclose(tokens.data[1, 4 * 2 + 3], proj[1, :, 2, 3], rtol=1e-5)
 
     def test_layer_count(self, rng):
@@ -272,12 +260,6 @@ class TestRayEncoder:
         tokens, maps = enc.forward(x)
         assert len(maps) == 3
         assert tokens.shape == (1, 16, 4)
-
-    def test_shared_fields_flag(self, rng):
-        enc = RayEncoder(8, d_model=4, n_layers=2, n_origins=3, rng=rng, share_fields=True)
-        assert enc.layers[0].field is enc.layers[1].field
-        names = [n for n, _ in enc.named_params("enc")]
-        assert sum("field.origins" in n for n in names) == 1
 
     def test_unshared_by_default(self, rng):
         enc = RayEncoder(8, d_model=4, n_layers=2, n_origins=3, rng=rng)
