@@ -276,15 +276,12 @@ def cmd_export_maps(args) -> int:
 
 
 def cmd_param_count(args) -> int:
-    if args.table1:
-        cfg = table1_config(rays=args.rays if args.rays is not None else 0,
-                            classes=args.classes or 1000)
-    else:
-        values = _merge_cli_values(args, {
-            "rays": args.rays,
-            "classes": args.classes,
-        })
-        cfg, _ = build_configs(values)
+    values = _merge_cli_values(args, {
+        "preset": "table1" if args.table1 else None,
+        "rays": args.rays,
+        "classes": args.classes,
+    })
+    cfg, _ = build_configs(values)
     cfg.validate()
     per, total = param_count(cfg)
     print("component,parameters")
@@ -352,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param-count", help="parameter counts for a configuration")
     p.add_argument("--config")
-    p.add_argument("--table1", action="store_true", help="use the full-scale config")
+    p.add_argument("--table1", action="store_true",
+                   help="use the full-scale preset (same as --set preset=table1)")
     p.add_argument("--rays", type=int)
     p.add_argument("--classes", type=int)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")

@@ -232,8 +232,9 @@ def _probe_distance_matrix(rng):
 
 
 def _probe_spectral_modulate(rng):
-    f = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-    m = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    # an even and an odd extent: the odd width has no self-conjugate Nyquist bin
+    f = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
+    m = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
     run = lambda: spectral_modulate(f, m)
     s = _scalarize(run(), rng)
     return lambda: s(run()), {"f": f, "mask": m}

@@ -47,9 +47,6 @@ class ModelConfig:
             raise ConfigError(
                 f"input extent {self.input_extent} is not a multiple of {divisor}"
             )
-        # power-of-two extents at the ray-layer resolutions are enforced at
-        # run time by the spectral op itself, so parameter counting works
-        # for configurations whose ray layers could never execute.
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -146,7 +146,7 @@ class AttenuationMap:
         return self.per_origin.data.reshape(-1, h, w)
 
 
-def attenuation(dist, field: RayField, extents=None) -> AttenuationMap:
+def attenuation(dist, field: RayField, extents: tuple[int, int]) -> AttenuationMap:
     """Softmax-normalized emphasis maps from distances and field state.
 
     Row i of the logits is PSF(D_i) * beta * exp(-alpha_i * D_i).  The
@@ -156,7 +156,7 @@ def attenuation(dist, field: RayField, extents=None) -> AttenuationMap:
     n, m = dist.shape
     if field.n != n:
         raise ShapeError(f"distance matrix has {n} rows but the field has {field.n} origins")
-    if extents is not None and extents[0] * extents[1] != m:
+    if extents[0] * extents[1] != m:
         raise ShapeError(f"extents {extents} do not cover {m} pixels")
 
     kmap = psf(dist, field.sigma())
@@ -165,17 +165,14 @@ def attenuation(dist, field: RayField, extents=None) -> AttenuationMap:
     logits = ad.mul(ad.mul(kmap, decay), ad.reshape(field.beta, (1, 1)))
     per_origin = ad.softmax(logits, axis=1)
     combined = ad.reduce_mean(per_origin, axis=0)
-    if extents is None:
-        side = int(round(np.sqrt(m)))
-        extents = (side, m // side) if side * (m // side) == m else (1, m)
     return AttenuationMap(per_origin, combined, (int(extents[0]), int(extents[1])))
 
 
 def spectral_modulate(f, mask) -> Tensor:
     """Multiply the 2-D spectrum of each feature map by a real mask.
 
-    ``f`` is NCHW with power-of-two extents; ``mask`` is (H, W), broadcast
-    over samples and channels.  Returns the real part of the inverse
+    ``f`` is NCHW at any extents; ``mask`` is (H, W), broadcast over
+    samples and channels.  Returns the real part of the inverse
     transform, which equals circular convolution of ``f`` with the inverse
     transform of the mask.  Differentiable in both arguments.
     """

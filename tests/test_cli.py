@@ -231,6 +231,11 @@ class TestParamCount:
         total = int(next(l for l in out.splitlines() if l.startswith("total,")).split(",")[1])
         assert total > 5_000_000
 
+    @pytest.mark.parametrize("flags", [("--set", "rays=3"), ("--rays", "3")])
+    def test_table1_honours_rays_from_set_and_flag(self, flags, capsys):
+        assert run_cli("param-count", "--table1", *flags) == 0
+        assert "total,11861435" in capsys.readouterr().out.splitlines()
+
 
 class TestExportMaps:
     def test_exports_one_file_per_origin(self, trained_dir, synth_dir, tmp_path, capsys):

@@ -107,6 +107,21 @@ class TestRayRouting:
         _, aux = model.forward_with_aux(Tensor(rng.normal(size=(1, 3, 32, 32))))
         assert [m.extents for m in aux["maps"]] == [(4, 4), (2, 2), (2, 2)]
 
+    @pytest.mark.parametrize("rays,extents", [
+        (1, [(28, 28)]),
+        (2, [(28, 28), (14, 14)]),
+        (3, [(28, 28), (14, 14), (14, 14)]),
+    ])
+    def test_table1_rays_run_at_paper_scale(self, rays, extents, rng):
+        model = WaveletClassifier(table1_config(rays=rays), seed=0)
+        logits, aux = model.forward_with_aux(Tensor(rng.normal(size=(1, 3, 224, 224))))
+        assert logits.shape == (1, 1000)
+        assert np.isfinite(logits.data).all()
+        assert [m.extents for m in aux["maps"]] == extents
+        if rays == 3:
+            tokens, _ = model.encoder.forward(aux["pyramid"].deepest)
+            assert tokens.shape == (1, 196, 256)
+
     def test_head_input_switches_at_full_budget(self):
         assert WaveletClassifier(desk_config(rays=2), seed=0).head.w.shape == (64, 3)
         assert WaveletClassifier(desk_config(rays=3), seed=0).head.w.shape == (32, 3)

@@ -154,8 +154,8 @@ class TestAttenuation:
 
     def test_row_count_must_match_field(self, rng):
         field = RayField(4)
-        with pytest.raises(ShapeError):
-            attenuation(Tensor(np.ones((3, 16))), field)
+        with pytest.raises(ShapeError, match="3 rows"):
+            attenuation(Tensor(np.ones((3, 16))), field, extents=(4, 4))
 
     def test_positivity_survives_arbitrary_log_updates(self):
         field = RayField(3)
@@ -201,10 +201,15 @@ class TestSpectralModulate:
             spectral_modulate(Tensor(rng.normal(size=(1, 1, 4, 4))),
                               Tensor(np.ones((4, 8))))
 
-    def test_non_power_of_two_rejected(self, rng):
-        with pytest.raises(ShapeError, match="power of two"):
-            spectral_modulate(Tensor(rng.normal(size=(1, 1, 6, 4))),
-                              Tensor(np.ones((6, 4))))
+    @pytest.mark.parametrize("extents", [(6, 5), (14, 14)])
+    def test_any_extent_equals_circular_convolution(self, extents, rng):
+        with precision("double"):
+            f = rng.normal(size=(1, 2, *extents))
+            mask = rng.normal(size=extents)
+            got = spectral_modulate(Tensor(f), Tensor(mask)).data
+            want = circular_conv_oracle(f, np.fft.ifft2(mask).real)
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel < 1e-10
 
     def test_dc_only_mask_averages(self, rng):
         """A mask that keeps only the DC bin replaces each map by its mean."""
