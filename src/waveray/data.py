@@ -371,12 +371,23 @@ def write_origin_csv(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def atomic_write_bytes(path, blob: bytes) -> None:
-    """Write via a temp file and rename, so readers never see partial data."""
+def atomic_write_bytes(path, chunks) -> None:
+    """Write ``chunks`` (one bytes-like object, or an iterable of them) via a
+    temp file and rename, so readers never see partial data.
+
+    If writing fails, the temp file is removed and the old ``path`` is left
+    as it was.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    if isinstance(chunks, (bytes, bytearray, memoryview)):
+        chunks = (chunks,)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -1,11 +1,13 @@
 """Checkpoint container: layout, checksums, migration errors."""
 
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from waveray import checkpoint
 from waveray.checkpoint import (
     MAGIC,
     VERSION,
@@ -37,6 +39,49 @@ def tiny_state(rng, **overrides):
     )
     kwargs.update(overrides)
     return CheckpointState(**kwargs)
+
+
+def blake2b64(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=8).digest()
+
+
+def v1_blob(state) -> bytes:
+    """A version-1 file as the format-1 writer laid it out: no dtype codes,
+    float32 payloads and a u64 FNV-1a trailer."""
+    config = {"model": state.model_config, "opt_step": state.opt_step, "epoch": state.epoch,
+              "rng_state": state.rng_state, "precision": state.precision,
+              "extra": state.extra}
+    config_b = json.dumps(config, sort_keys=True).encode("utf-8")
+    records = [(name, state.params[name]) for name in sorted(state.params)]
+    records += [(f"opt.m/{name}", state.opt_m[name]) for name in sorted(state.opt_m)]
+    records += [(f"opt.v/{name}", state.opt_v[name]) for name in sorted(state.opt_v)]
+    body = struct.pack("<I", len(config_b)) + config_b + struct.pack("<I", len(records))
+    for name, arr in records:
+        payload = np.asarray(arr, dtype="<f4")
+        name_b = name.encode("utf-8")
+        body += struct.pack("<H", len(name_b)) + name_b + struct.pack("<B", payload.ndim)
+        body += struct.pack(f"<{payload.ndim}I", *payload.shape) + payload.tobytes()
+    return MAGIC + struct.pack("<I", 1) + body + struct.pack("<Q", fnv1a(body))
+
+
+def v2_records(blob: bytes) -> list:
+    """(name, dtype code, shape, payload bytes) of every record in a v2 file."""
+    pos = 12 + struct.unpack_from("<I", blob, 8)[0]
+    (count,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    out = []
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", blob, pos)
+        name = blob[pos + 2 : pos + 2 + nlen].decode()
+        code, rank = blob[pos + 2 + nlen], blob[pos + 3 + nlen]
+        pos += 4 + nlen
+        shape = struct.unpack_from(f"<{rank}I", blob, pos)
+        pos += 4 * rank
+        size = (4, 8)[code] * (int(np.prod(shape)) if rank else 1)
+        out.append((name, code, shape, blob[pos : pos + size]))
+        pos += size
+    assert pos == len(blob) - 8
+    return out
 
 
 class TestFnv1a:
@@ -171,9 +216,9 @@ class TestCorruption:
         save_checkpoint(p, state)
         blob = p.read_bytes()
         body = blob[8:-8] + b"junk"
-        forged = MAGIC + struct.pack("<I", VERSION) + body + struct.pack("<Q", fnv1a(body))
+        forged = MAGIC + struct.pack("<I", VERSION) + body + blake2b64(body)
         p.write_bytes(forged)
-        with pytest.raises(CheckpointError, match="trailing"):
+        with pytest.raises(CheckpointError, match="4 trailing bytes"):
             load_checkpoint(p)
 
 
@@ -216,7 +261,7 @@ class TestLayout:
         assert config["epoch"] == 4
         assert config["model"]["classes"] == 3
         # checksum trailer covers exactly the body
-        assert struct.unpack("<Q", blob[-8:])[0] == fnv1a(blob[8:-8])
+        assert blob[-8:] == blake2b64(blob[8:-8])
 
     def test_records_are_sorted_with_moments_last(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
@@ -230,7 +275,7 @@ class TestLayout:
             (nlen,) = struct.unpack("<H", blob[pos : pos + 2])
             pos += 2
             names.append(blob[pos : pos + nlen].decode())
-            pos += nlen
+            pos += nlen + 1  # skip the dtype code
             rank = blob[pos]
             pos += 1
             shape = struct.unpack(f"<{rank}I", blob[pos : pos + 4 * rank])
@@ -239,3 +284,115 @@ class TestLayout:
         assert names[:3] == ["head.b", "head.w", "stem.kernel"]
         assert names[3:6] == ["opt.m/head.b", "opt.m/head.w", "opt.m/stem.kernel"]
         assert names[6:] == ["opt.v/head.b", "opt.v/head.w", "opt.v/stem.kernel"]
+
+    def test_float32_payloads_are_the_raw_array_bytes(self, tmp_path, rng):
+        state = tiny_state(rng)
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, state)
+        records = v2_records(p.read_bytes())
+        assert len(records) == 9
+        for name, code, shape, payload in records:
+            kind, _, key = name.rpartition("/")
+            arr = {"": state.params, "opt.m": state.opt_m, "opt.v": state.opt_v}[kind][key]
+            assert code == 0
+            assert shape == arr.shape
+            assert payload == arr.astype("<f4").tobytes()
+
+
+class TestDtypes:
+    def test_float64_round_trips_bit_exact(self, tmp_path, rng):
+        params = {"w": rng.normal(size=(5, 3)), "s": np.float64(np.pi)}
+        state = tiny_state(rng, params=params, precision="double",
+                           opt_m={k: v / 3.0 for k, v in params.items()},
+                           opt_v={k: v * v for k, v in params.items()})
+        p = tmp_path / "d.wrnc"
+        save_checkpoint(p, state)
+        assert {code for _, code, _, _ in v2_records(p.read_bytes())} == {1}
+        back = load_checkpoint(p)
+        for saved, loaded in ((state.params, back.params), (state.opt_m, back.opt_m),
+                              (state.opt_v, back.opt_v)):
+            for name, arr in saved.items():
+                assert loaded[name].dtype == np.float64
+                assert loaded[name].shape == np.shape(arr)
+                assert loaded[name].tobytes() == np.asarray(arr).tobytes()
+
+    def test_mixed_and_big_endian_inputs(self, tmp_path, rng):
+        w = rng.normal(size=(2, 3))
+        state = tiny_state(rng, params={"a": w.astype(">f4"), "b": w.astype(">f8")},
+                           opt_m={}, opt_v={})
+        p = tmp_path / "m.wrnc"
+        save_checkpoint(p, state)
+        back = load_checkpoint(p)
+        assert back.params["a"].dtype == np.float32
+        assert back.params["b"].dtype == np.float64
+        np.testing.assert_array_equal(back.params["a"], w.astype(np.float32))
+        np.testing.assert_array_equal(back.params["b"], w)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16, np.complex64])
+    def test_other_dtypes_are_refused_and_leave_the_old_file(self, tmp_path, rng, dtype):
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, tiny_state(rng))
+        before = p.read_bytes()
+        state = tiny_state(rng, params={"x": np.ones(3, dtype=dtype)}, opt_m={}, opt_v={})
+        with pytest.raises(CheckpointError, match="'x'"):
+            save_checkpoint(p, state)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_unknown_dtype_code_rejected(self, tmp_path, rng):
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, tiny_state(rng, params={"x": np.float32(1.0)}, opt_m={}, opt_v={}))
+        blob = bytearray(p.read_bytes())
+        code_at = len(blob) - 8 - 4 - 1 - 1  # payload, rank byte, then the code
+        assert blob[code_at] == 0
+        blob[code_at] = 7
+        body = bytes(blob[8:-8])
+        p.write_bytes(bytes(blob[:8]) + body + blake2b64(body))
+        with pytest.raises(CheckpointError, match="dtype code 7"):
+            load_checkpoint(p)
+
+
+class TestVersion1:
+    def test_v1_file_loads_as_float32(self, tmp_path, rng):
+        state = tiny_state(rng)
+        p = tmp_path / "v1.wrnc"
+        p.write_bytes(v1_blob(state))
+        back = load_checkpoint(p, expected_model_config={"classes": 3, "rays": 0})
+        for saved, loaded in ((state.params, back.params), (state.opt_m, back.opt_m),
+                              (state.opt_v, back.opt_v)):
+            assert set(loaded) == set(saved)
+            for name, arr in saved.items():
+                assert loaded[name].dtype == np.float32
+                np.testing.assert_array_equal(loaded[name], arr)
+        assert (back.opt_step, back.epoch, back.extra) == (17, 4, {"note": "x"})
+
+    def test_v1_flipped_payload_byte_names_checksum(self, tmp_path, rng):
+        blob = bytearray(v1_blob(tiny_state(rng)))
+        blob[len(blob) // 2] ^= 0x01
+        p = tmp_path / "v1.wrnc"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(p)
+
+    def test_v1_is_verified_through_the_module_fnv1a(self, tmp_path, rng, monkeypatch):
+        seen = []
+
+        def counting(data):
+            seen.append(len(data))
+            return fnv1a(data)
+
+        monkeypatch.setattr(checkpoint, "fnv1a", counting)
+        blob = v1_blob(tiny_state(rng))
+        p = tmp_path / "v1.wrnc"
+        p.write_bytes(blob)
+        load_checkpoint(p)
+        assert seen == [len(blob) - 16]
+
+    def test_v2_save_and_load_never_use_fnv1a(self, tmp_path, rng, monkeypatch):
+        def refuse(data):
+            raise AssertionError("fnv1a called")
+
+        monkeypatch.setattr(checkpoint, "fnv1a", refuse)
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, tiny_state(rng))
+        assert load_checkpoint(p).opt_step == 17

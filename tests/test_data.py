@@ -302,3 +302,21 @@ class TestExportHelpers:
         atomic_write_bytes(p, b"second")
         assert p.read_bytes() == b"second"
         assert list(tmp_path.iterdir()) == [p]
+
+    def test_atomic_write_joins_chunks(self, tmp_path):
+        p = tmp_path / "blob.bin"
+        atomic_write_bytes(p, (c for c in (b"ab", bytearray(b"cd"), np.arange(2, dtype="<u2"))))
+        assert p.read_bytes() == b"abcd\x00\x00\x01\x00"
+
+    def test_failed_atomic_write_keeps_target_and_removes_temp(self, tmp_path):
+        p = tmp_path / "blob.bin"
+        atomic_write_bytes(p, b"first")
+
+        def chunks():
+            yield b"partial"
+            raise RuntimeError("disk on fire")
+
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            atomic_write_bytes(p, chunks())
+        assert p.read_bytes() == b"first"
+        assert list(tmp_path.iterdir()) == [p]
