@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .autodiff import Tensor, set_precision
-from .checkpoint import CheckpointState, load_checkpoint
+from .autodiff import Tensor, precision, set_precision
+from .checkpoint import load_checkpoint
 from .data import (
     SyntheticSpec,
     export_map,
@@ -209,18 +210,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _rebuild_from_checkpoint(path) -> tuple[WaveletClassifier, CheckpointState]:
+@contextmanager
+def _checkpoint_model(path):
+    """Rebuild a checkpoint's model, keeping its stored precision active while in use."""
     state = load_checkpoint(path)
-    cfg = ModelConfig.from_dict(state.model_config)
-    model = WaveletClassifier(cfg, seed=0)
-    model.load_state(state.params)
-    return model, state
+    with precision(state.precision):
+        model = WaveletClassifier(ModelConfig.from_dict(state.model_config), seed=0)
+        model.load_state(state.params)
+        yield model, state
 
 
 def cmd_eval(args) -> int:
-    model, state = _rebuild_from_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data, classes=model.config.classes)
-    metrics = evaluate(model, dataset, batch_size=args.batch_size)
+    with _checkpoint_model(args.checkpoint) as (model, state):
+        dataset = load_dataset(args.data, classes=model.config.classes)
+        metrics = evaluate(model, dataset, batch_size=args.batch_size)
     print(METRICS_HEADER)
     print(f"{state.epoch},{metrics.csv_fields()},0,{metrics.images_per_second:.2f}")
     return 0
@@ -245,16 +248,16 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_maps(args) -> int:
-    model, state = _rebuild_from_checkpoint(args.checkpoint)
-    if model.config.rays < 1:
-        raise ConfigError("checkpoint has no ray layers to export")
-    img = read_image(args.image)
-    if img.shape[1] != model.config.input_extent:
-        raise ConfigError(
-            f"image extent {img.shape[1]} does not match model input extent "
-            f"{model.config.input_extent}"
-        )
-    _, aux = model.forward_with_aux(Tensor(img[None]))
+    with _checkpoint_model(args.checkpoint) as (model, state):
+        if model.config.rays < 1:
+            raise ConfigError("checkpoint has no ray layers to export")
+        img = read_image(args.image)
+        if img.shape[1] != model.config.input_extent:
+            raise ConfigError(
+                f"image extent {img.shape[1]} does not match model input extent "
+                f"{model.config.input_extent}"
+            )
+        _, aux = model.forward_with_aux(Tensor(img[None]))
     maps = aux["maps"]
     if not 0 <= args.layer < len(maps):
         raise ConfigError(f"layer must lie in [0, {len(maps)}), got {args.layer}")

@@ -9,6 +9,16 @@ wavelet blocks).
 The 1-D filter supports symmetric padding so that a constant map stays
 constant under an averaging filter right up to the borders, which the
 zero-padded general convolution cannot do.
+
+The two channel-mixing kernels call ``np.matmul`` directly, in the operand
+order and memory layout that numpy's ``einsum(..., optimize=True)`` uses for
+the same contraction: the second einsum operand goes first, rows or columns
+are fused by ``transpose(...).reshape(...)``, and the conv patch matrix is a
+C-ordered copy.  At every layer shape of the models their results are thus
+bit-identical to the einsum formulation, without its per-call path planning.
+Only where einsum squeezes unit extents in several places at once (say a
+grouped conv on 1x1 maps) may it lay an operand out otherwise and round a
+last bit differently.
 """
 
 from __future__ import annotations
@@ -55,16 +65,21 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    wing = win.reshape(n, groups, cin_g, ho, wo, kh, kw)
-    kg = kernel.data.reshape(groups, cout // groups, cin_g, kh, kw)
-    out = np.einsum("ngihwkl,goikl->ngohw", wing, kg, optimize=True)
-    out = out.reshape(n, cout, ho, wo)
+    cout_g = cout // groups
+    # (groups, cin_g*kh*kw, n*ho*wo) in C order, as einsum copied it; backward reuses it
+    patches = np.ascontiguousarray(
+        win.reshape(n, groups, cin_g, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
+    ).reshape(groups, cin_g * kh * kw, n * ho * wo)
+    kg = kernel.data.reshape(groups, cout_g, cin_g * kh * kw)
+    out = np.matmul(kg, patches).reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
 
     def bw(g):
-        gg = g.reshape(n, groups, cout // groups, ho, wo)
-        gk = np.einsum("ngohw,ngihwkl->goikl", gg, wing, optimize=True).reshape(kernel.shape)
-        gwin = np.einsum("ngohw,goikl->ngihwkl", gg, kg, optimize=True)
-        gwin = gwin.reshape(n, c, ho, wo, kh, kw)
+        gg = g.reshape(n, groups, cout_g, ho, wo)
+        g_rows = gg.transpose(1, 0, 3, 4, 2).reshape(groups, n * ho * wo, cout_g)
+        g_cols = gg.transpose(1, 2, 0, 3, 4).reshape(groups, cout_g, n * ho * wo)
+        gk = np.matmul(patches, g_rows).transpose(0, 2, 1).reshape(kernel.shape)
+        gwin = np.matmul(kg.transpose(0, 2, 1), g_cols)
+        gwin = gwin.reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 4, 5, 1, 2)
         gxp = np.zeros_like(xp)
         for a in range(kh):
             for b in range(kw):
@@ -102,29 +117,24 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
         if bias.shape != (cout,):
             raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
 
-    out = np.einsum("oc,nchw->nohw", w2, x.data, optimize=True)
+    n, _, h, w = x.shape
+    xd = x.data
+    x_rows = xd.transpose(0, 2, 3, 1).reshape(n * h * w, cin)
+    out = np.matmul(x_rows, w2.T).reshape(n, h, w, cout).transpose(0, 3, 1, 2)
     if bias is not None:
         out = out + bias.data.reshape(1, cout, 1, 1)
 
-    xd = x.data
-    wshape = weight.shape
-
-    if bias is None:
-
-        def bw(g):
-            gw = np.einsum("nohw,nchw->oc", g, xd, optimize=True).reshape(wshape)
-            gx = np.einsum("nohw,oc->nchw", g, w2, optimize=True)
+    def bw(g):
+        x_cols = xd.transpose(1, 0, 2, 3).reshape(cin, n * h * w)
+        g_rows = g.transpose(0, 2, 3, 1).reshape(n * h * w, cout)
+        g_cols = g.transpose(1, 0, 2, 3).reshape(cout, n * h * w)
+        gw = np.matmul(x_cols, g_rows).T.reshape(weight.shape)
+        gx = np.matmul(w2.T, g_cols).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
+        if bias is None:
             return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
-        return _record_op(out, (x, weight), bw)
-
-    def bw_bias(g):
-        gw = np.einsum("nohw,nchw->oc", g, xd, optimize=True).reshape(wshape)
-        gx = np.einsum("nohw,oc->nchw", g, w2, optimize=True)
-        gb = g.sum(axis=(0, 2, 3))
-        return gx, gw, gb
-
-    return _record_op(out, (x, weight, bias), bw_bias)
+    return _record_op(out, (x, weight) if bias is None else (x, weight, bias), bw)
 
 
 def _axis_slice(ndim: int, axis: int, start: int, stop: int, step: int) -> tuple:

@@ -1,10 +1,15 @@
 """End-to-end command line behavior, driven in process through main()."""
 
+import numpy as np
 import pytest
 
-from waveray.cli import build_configs, main, parse_config_file
+from waveray.autodiff import get_precision, precision, set_precision
+from waveray.checkpoint import load_checkpoint
+from waveray.cli import _checkpoint_model, build_configs, main, parse_config_file
 from waveray.data import load_dataset
 from waveray.errors import ConfigError
+from waveray.model import ModelConfig, WaveletClassifier
+from waveray.train import evaluate
 
 
 def run_cli(*argv):
@@ -179,6 +184,36 @@ class TestEval:
         assert got[0] == want[0] == "2"
         assert got[1:5] == want[1:5]
         assert got[5] == "0"
+
+    def test_single_checkpoint_rebuilds_in_single(self, trained_dir):
+        ckpt = trained_dir / "checkpoint_final.wrnc"
+        stored = load_checkpoint(ckpt).params
+        with _checkpoint_model(ckpt) as (model, state):
+            assert state.precision == "single"
+            for name, p in model.parameters().items():
+                assert p.dtype == np.float32 and np.array_equal(p.data, stored[name])
+
+    def test_double_checkpoint_evaluates_in_double(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "double"
+        assert run_cli("train", "--data", synth_dir, "--out", out, "--epochs", 2,
+                       "--batch-size", 8, "--rays", 1, "--set", "classes=2",
+                       "--set", "n_origins=4", "--set", "precision=double") == 0
+        set_precision("single")  # train leaves its precision set; eval must not rely on that
+        capsys.readouterr()
+        ckpt = out / "checkpoint_final.wrnc"
+        state = load_checkpoint(ckpt)
+        with _checkpoint_model(ckpt) as (model, _):
+            for name, p in model.parameters().items():
+                assert p.dtype == np.float64 and np.array_equal(p.data, state.params[name])
+        assert get_precision() == "single"
+        with precision("double"):
+            model = WaveletClassifier(ModelConfig.from_dict(state.model_config))
+            model.load_state(state.params)
+            want = evaluate(model, load_dataset(synth_dir, classes=2))
+        assert run_cli("eval", "--checkpoint", ckpt, "--data", synth_dir) == 0
+        got = capsys.readouterr().out.splitlines()[1].split(",")
+        assert ",".join(got[1:5]) == want.csv_fields()
+        assert get_precision() == "single"
 
     def test_zero_batch_size_is_config_error(self, trained_dir, synth_dir, capsys):
         code = run_cli("eval", "--checkpoint", trained_dir / "checkpoint_final.wrnc",

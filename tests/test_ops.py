@@ -8,10 +8,19 @@ not accumulation order.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from waveray.autodiff import Tape, Tensor, backward, precision
+from waveray.autodiff import Tape, Tensor, backward, mul, precision, reduce_sum
 from waveray.errors import ShapeError
+from waveray.model import WaveletClassifier, cross_entropy, desk_config
 from waveray.ops import conv2d, pointwise_conv, sep_conv1d
+
+try:  # numpy >= 2.4 contracts each einsum pair with one matmul
+    from numpy._core.einsumfunc import bmm_einsum  # noqa: F401
+
+    EINSUM_ISSUES_MATMUL = True
+except ImportError:
+    EINSUM_ISSUES_MATMUL = False
 
 
 def conv2d_oracle(x, k, stride, padding, groups):
@@ -68,6 +77,56 @@ def sep_conv1d_oracle(x, taps, axis, stride, pad_mode):
     return np.moveaxis(out, -1, axis)
 
 
+def conv2d_grad_oracle(x, k, gout, stride, padding):
+    """The forward's six loops, scattering each output gradient back."""
+    n, c, h, w = x.shape
+    cout, cin_g, kh, kw = k.shape
+    sh, sw = stride
+    ph, pw = padding
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph : ph + h, pw : pw + w] = x
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    cout_g = cout // (c // cin_g)
+    for ni in range(n):
+        for oc in range(cout):
+            g = oc // cout_g
+            for oy in range(gout.shape[2]):
+                for ox in range(gout.shape[3]):
+                    for ic in range(cin_g):
+                        for dy in range(kh):
+                            for dx in range(kw):
+                                src = (ni, g * cin_g + ic, oy * sh + dy, ox * sw + dx)
+                                gxp[src] += gout[ni, oc, oy, ox] * k[oc, ic, dy, dx]
+                                gk[oc, ic, dy, dx] += gout[ni, oc, oy, ox] * xp[src]
+    return gxp[:, :, ph : ph + h, pw : pw + w], gk
+
+
+def pointwise_grad_oracle(x, w, gout):
+    """Per-pixel transposed maps: gx = w^T g, gw = sum of g x^T, gb = sum of g."""
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    gb = np.zeros(w.shape[0], dtype=w.dtype)
+    for ni in range(x.shape[0]):
+        for i in range(x.shape[2]):
+            for j in range(x.shape[3]):
+                g = gout[ni, :, i, j]
+                gx[ni, :, i, j] = w.T @ g
+                gw += np.outer(g, x[ni, :, i, j])
+                gb += g
+    return gx, gw, gb
+
+
+def pull_back(op, arrays, gout):
+    """Run ``op`` on fresh leaves, backpropagate ``gout``; return output and leaf grads."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*leaves)
+        loss = reduce_sum(mul(out, Tensor(gout)))
+    backward(loss, tape)
+    return out.data, [t.grad for t in leaves]
+
+
 class TestConv2dOracle:
     @pytest.mark.parametrize("case", range(12))
     def test_random_configs(self, case):
@@ -117,6 +176,39 @@ class TestConv2dOracle:
         k = Tensor(np.ones((2, 1, 3, 3)))
         with pytest.raises(ShapeError):
             conv2d(x, k, groups=2)
+
+    @pytest.mark.parametrize(
+        "xshape, kshape, stride, padding, groups",
+        [
+            ((1, 3, 10, 10), (8, 3, 7, 7), (2, 2), (3, 3), 1),  # batch 1, stem geometry
+            ((3, 2, 1, 1), (4, 2, 1, 1), (1, 1), (0, 0), 1),  # 1x1 maps
+            ((2, 2, 1, 1), (3, 2, 3, 3), (1, 1), (1, 1), 1),  # 1x1 maps, padded 3x3
+            ((2, 4, 5, 4), (6, 2, 3, 3), (1, 2), (1, 1), 2),
+            ((1, 4, 1, 1), (2, 2, 1, 1), (1, 1), (0, 0), 2),  # groups, batch 1, 1x1 map
+        ],
+    )
+    def test_forward_and_backward_match_loop_oracle(self, xshape, kshape, stride, padding, groups):
+        gen = np.random.default_rng(sum(xshape) + sum(kshape))
+        with precision("double"):
+            x = gen.normal(size=xshape)
+            k = gen.normal(size=kshape)
+            want = conv2d_oracle(x, k, stride, padding, groups)
+            gout = gen.normal(size=want.shape)
+            out, (gx, gk) = pull_back(
+                lambda a, b: conv2d(a, b, stride=stride, padding=padding, groups=groups),
+                (x, k), gout)
+        want_gx, want_gk = conv2d_grad_oracle(x, k, gout, stride, padding)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gk, want_gk, rtol=1e-12, atol=1e-12)
+
+    def test_float32_stays_float32(self, rng):
+        x = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
+        k = rng.normal(size=(6, 2, 3, 3)).astype(np.float32)
+        gout = rng.normal(size=(2, 6, 3, 3)).astype(np.float32)
+        out, grads = pull_back(
+            lambda a, b: conv2d(a, b, stride=(2, 2), padding=(1, 1), groups=2), (x, k), gout)
+        assert [a.dtype for a in (out, *grads)] == [np.float32] * 3
 
     def test_grad_matches_oracle_of_shifted_losses(self):
         """Gradient wrt the kernel equals conv of input with the output grad
@@ -179,6 +271,45 @@ class TestPointwiseConv:
         with pytest.raises(ShapeError, match="channel mismatch"):
             pointwise_conv(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones((4, 5))))
 
+    @pytest.mark.parametrize(
+        "xshape, cout",
+        [
+            ((2, 5, 3, 4), 7),
+            ((1, 32, 2, 2), 64),  # batch 1 on the 2x2 maps of desk stage 1
+            ((3, 4, 1, 1), 6),  # 1x1 maps
+            ((1, 4, 1, 1), 6),  # batch 1, 1x1 map
+        ],
+    )
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_backward_matches_per_pixel_oracle(self, xshape, cout, bias):
+        gen = np.random.default_rng(sum(xshape) + cout)
+        with precision("double"):
+            x = gen.normal(size=xshape)
+            w = gen.normal(size=(cout, xshape[1]))
+            b = gen.normal(size=cout)
+            gout = gen.normal(size=(xshape[0], cout) + xshape[2:])
+            if bias:
+                out, (gx, gw, gb) = pull_back(pointwise_conv, (x, w, b), gout)
+            else:  # the (C_out, C_in, 1, 1) weight form, whose grad keeps that shape
+                out, (gx, gw) = pull_back(pointwise_conv, (x, w[:, :, None, None]), gout)
+        want_gx, want_gw, want_gb = pointwise_grad_oracle(x, w, gout)
+        want = np.einsum("oc,nchw->nohw", w, x) + (b[:, None, None] if bias else 0.0)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gw.reshape(w.shape), want_gw, rtol=1e-12, atol=1e-12)
+        if bias:
+            np.testing.assert_allclose(gb, want_gb, rtol=1e-12, atol=1e-12)
+        else:
+            assert gw.shape == (cout, xshape[1], 1, 1)
+
+    def test_float32_stays_float32(self, rng):
+        x = rng.normal(size=(2, 5, 3, 3)).astype(np.float32)
+        w = rng.normal(size=(4, 5)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        gout = rng.normal(size=(2, 4, 3, 3)).astype(np.float32)
+        out, grads = pull_back(pointwise_conv, (x, w, b), gout)
+        assert [a.dtype for a in (out, *grads)] == [np.float32] * 4
+
 
 class TestSepConv1d:
     @pytest.mark.parametrize("axis", [2, 3])
@@ -237,3 +368,66 @@ class TestSepConv1d:
             sep_conv1d(x, Tensor(np.ones(3)), axis=1)
         with pytest.raises(ShapeError):
             sep_conv1d(x, Tensor(np.ones(3)), axis=2, stride=3)
+
+
+def test_desk_step_calls_no_einsum(monkeypatch):
+    """The kernels issue their matmuls directly: no per-call einsum planning on the hot path."""
+    model = WaveletClassifier(desk_config(rays=3), seed=0)
+    images = np.random.default_rng(0).normal(size=(4, 3, 32, 32)).astype(np.float32)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called during a desk step")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    with Tape() as tape:
+        loss = cross_entropy(model.forward(Tensor(images)), np.array([0, 1, 2, 0]))
+    backward(loss, tape)
+    monkeypatch.undo()
+    grads = [p.grad for p in model.parameters().values()]
+    assert all(g is not None and np.isfinite(g).all() for g in grads)
+
+
+@pytest.mark.skipif(not EINSUM_ISSUES_MATMUL, reason="this numpy's einsum lays out its matmul differently")
+class TestEinsumBitIdentity:
+    """Each kernel issues the matmul numpy's einsum issues for the same contraction, in the
+    same layout, so float32 results equal the einsum formulation bit for bit (checkpoints and
+    the rounding-sensitive training criteria depend on it)."""
+
+    @pytest.mark.parametrize(
+        "n, cin, cout, extent",
+        [(n, *s) for n in (1, 64) for s in [(16, 4, 4), (16, 64, 4), (32, 128, 2), (64, 32, 2),
+                                             (128, 32, 2), (32, 12, 8)]]  # desk layers
+        + [(1, 128, 48, 56), (2, 128, 48, 56), (1, 1024, 4096, 14)],  # table-1 layers
+    )
+    def test_pointwise(self, n, cin, cout, extent):
+        gen = np.random.default_rng(n + cin + cout)
+        x = gen.normal(size=(n, cin, extent, extent)).astype(np.float32)
+        w = gen.normal(size=(cout, cin)).astype(np.float32)
+        gout = gen.normal(size=(n, cout, extent, extent)).astype(np.float32)
+        out, (gx, gw) = pull_back(pointwise_conv, (x, w), gout)
+        assert np.array_equal(out, np.einsum("oc,nchw->nohw", w, x, optimize=True))
+        assert np.array_equal(gw, np.einsum("nohw,nchw->oc", gout, x, optimize=True))
+        assert np.array_equal(gx, np.einsum("nohw,oc->nchw", gout, w, optimize=True))
+
+    @pytest.mark.parametrize("n, extent, cout", [(1, 32, 8), (64, 32, 8), (1, 224, 32)])
+    def test_stem_conv2d(self, n, extent, cout):
+        gen = np.random.default_rng(n + extent)
+        x = gen.normal(size=(n, 3, extent, extent)).astype(np.float32)
+        k = gen.normal(size=(cout, 3, 7, 7)).astype(np.float32)
+        ho = extent // 2
+        gout = gen.normal(size=(n, cout, ho, ho)).astype(np.float32)
+        out, (gx, gk) = pull_back(
+            lambda a, b: conv2d(a, b, stride=(2, 2), padding=(3, 3)), (x, k), gout)
+        xp = np.pad(x, ((0, 0), (0, 0), (3, 3), (3, 3)))
+        win = sliding_window_view(xp, (7, 7), axis=(2, 3))[:, :, ::2, ::2][:, None]
+        kg, gg = k[None], gout[:, None]
+        want = np.einsum("ngihwkl,goikl->ngohw", win, kg, optimize=True)
+        assert np.array_equal(out, want[:, 0])
+        want_gk = np.einsum("ngohw,ngihwkl->goikl", gg, win, optimize=True)
+        assert np.array_equal(gk, want_gk[0])
+        gwin = np.einsum("ngohw,goikl->ngihwkl", gg, kg, optimize=True)[:, 0]
+        gxp = np.zeros_like(xp)
+        for a in range(7):
+            for b in range(7):
+                gxp[:, :, a : a + 2 * ho - 1 : 2, b : b + 2 * ho - 1 : 2] += gwin[..., a, b]
+        assert np.array_equal(gx, gxp[:, :, 3:-3, 3:-3])
