@@ -145,12 +145,6 @@ class Tensor:
         out.is_leaf = True
         return out
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"

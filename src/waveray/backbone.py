@@ -40,26 +40,34 @@ class WaveFilterPair(Module):
         self.low = Tensor(np.array(DEFAULT_LOW), requires_grad=True)
         self.high = Tensor(np.array(DEFAULT_HIGH), requires_grad=True)
 
+    def decompose(self, f, stride: int = 1, rounds: int = 1, bands=None) -> Tensor:
+        """Separable bands of ``f``, stacked on the channel axis, as one tape node.
+
+        A band's path is a (width filter, height filter) pair of indices,
+        0 for low and 1 for high.  By default the four bands LL, LH, HL, HH
+        come out in that order; see :func:`ops.sep_conv1d` for ``rounds``
+        and ``bands``.  Symmetric padding keeps stride 1 extent-preserving
+        and stride 2 an exact halving of even extents.
+        """
+        if stride == 2 and (f.shape[2] % 2 or f.shape[3] % 2):
+            raise ShapeError(
+                f"stride-2 decomposition needs even extents, got {f.shape[2]}x{f.shape[3]}"
+            )
+        return sep_conv1d(f, (self.low, self.high), axis=(3, 2), stride=stride, rounds=rounds,
+                          bands=bands)
+
+
+BAND_PATHS = ((0, 0), (0, 1), (1, 0), (1, 1))  # LL, LH, HL, HH
+
 
 def wave_decompose(f, filters: WaveFilterPair, stride: int = 1):
     """Two-level separable decomposition into (LL, LH, HL, HH) bands.
 
     The first subscript names the width-axis filter, the second the
-    height-axis filter.  Depthwise with shared taps; symmetric padding
-    keeps stride 1 extent-preserving and stride 2 an exact halving of
-    even extents.
+    height-axis filter.  Each band is a tensor of its own, the same values
+    the stacked :meth:`WaveFilterPair.decompose` computes.
     """
-    if stride == 2 and (f.shape[2] % 2 or f.shape[3] % 2):
-        raise ShapeError(
-            f"stride-2 decomposition needs even extents, got {f.shape[2]}x{f.shape[3]}"
-        )
-    fl = sep_conv1d(f, filters.low, axis=3, stride=stride)
-    fh = sep_conv1d(f, filters.high, axis=3, stride=stride)
-    ll = sep_conv1d(fl, filters.low, axis=2, stride=stride)
-    lh = sep_conv1d(fl, filters.high, axis=2, stride=stride)
-    hl = sep_conv1d(fh, filters.low, axis=2, stride=stride)
-    hh = sep_conv1d(fh, filters.high, axis=2, stride=stride)
-    return ll, lh, hl, hh
+    return tuple(filters.decompose(f, stride, bands=((p,),)) for p in BAND_PATHS)
 
 
 @dataclass
@@ -148,8 +156,7 @@ class ExtractStage(Module):
         self.norm = LayerNorm(cout)
 
     def forward(self, x: Tensor) -> Tensor:
-        bands = wave_decompose(x, self.filters, stride=2)
-        x = pointwise_conv(ad.concat(bands, axis=1), self.mix)
+        x = pointwise_conv(self.filters.decompose(x, stride=2), self.mix)
         return ad.gelu(self.norm.forward(x))
 
 
@@ -176,18 +183,7 @@ class ModulationBlock(Module):
 
     def context(self, h: Tensor) -> Tensor:
         narrow = pointwise_conv(h, self.context_proj)
-        bands = wave_decompose(narrow, self.filters, stride=1)
-        paths = (
-            (self.filters.low, self.filters.low),
-            (self.filters.low, self.filters.high),
-            (self.filters.high, self.filters.low),
-            (self.filters.high, self.filters.high),
-        )
-        refined = [
-            sep_conv1d(sep_conv1d(band, fw, axis=3, stride=1), fh, axis=2, stride=1)
-            for band, (fw, fh) in zip(bands, paths)
-        ]
-        return ad.concat(refined, axis=1)
+        return self.filters.decompose(narrow, stride=1, rounds=2)
 
     def forward(self, x: Tensor, context_override: Tensor = None) -> Tensor:
         if x.shape[1] != self.channels:
@@ -196,6 +192,9 @@ class ModulationBlock(Module):
         a = self.context(h) if context_override is None else context_override
         v = pointwise_conv(h, self.value_proj)
         return ad.add(x, pointwise_conv(ad.mul(a, v), self.out_proj))
+
+
+PAIRS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))  # LL + HH, LH + HL
 
 
 class WavePool(Module):
@@ -209,8 +208,7 @@ class WavePool(Module):
         self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        ll, lh, hl, hh = wave_decompose(x, self.filters, stride=self.stride)
-        fused = ad.concat([ad.add(ll, hh), ad.add(lh, hl)], axis=1)
+        fused = self.filters.decompose(x, stride=self.stride, bands=PAIRS)
         return self.norm.forward(pointwise_conv(fused, self.mix))
 
 

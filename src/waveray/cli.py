@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from .autodiff import Tensor, precision, set_precision
+from .autodiff import Tensor, precision
 from .checkpoint import load_checkpoint
 from .data import (
     SyntheticSpec,
@@ -191,19 +191,19 @@ def cmd_train(args) -> int:
     })
     model_cfg, train_cfg = build_configs(values)
     model_cfg.validate()
-    set_precision(train_cfg.precision)
-    dataset = load_dataset(args.data, classes=model_cfg.classes)
-    if dataset.extent != model_cfg.input_extent:
-        raise ConfigError(
-            f"dataset extent {dataset.extent} does not match configured input extent "
-            f"{model_cfg.input_extent}"
-        )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(_effective_config_text(model_cfg, train_cfg),
-                                        encoding="utf-8")
-    model = WaveletClassifier(model_cfg, seed=train_cfg.seed)
-    history = train(model, dataset, train_cfg, out_dir=out_dir)
+    with precision(train_cfg.precision):
+        dataset = load_dataset(args.data, classes=model_cfg.classes)
+        if dataset.extent != model_cfg.input_extent:
+            raise ConfigError(
+                f"dataset extent {dataset.extent} does not match configured input extent "
+                f"{model_cfg.input_extent}"
+            )
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.txt").write_text(_effective_config_text(model_cfg, train_cfg),
+                                            encoding="utf-8")
+        model = WaveletClassifier(model_cfg, seed=train_cfg.seed)
+        history = train(model, dataset, train_cfg, out_dir=out_dir)
     epoch, final, lr = history[-1]
     print(METRICS_HEADER)
     print(f"{epoch},{final.csv_fields()},{lr:.8g},{final.images_per_second:.2f}")

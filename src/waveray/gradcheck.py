@@ -24,6 +24,7 @@ from . import autodiff as ad
 from . import ops
 from .autodiff import Tape, Tensor, backward, precision
 from .backbone import (
+    PAIRS,
     Backbone,
     BackboneConfig,
     ExtractStage,
@@ -212,15 +213,18 @@ def _probe_pointwise(rng):
 
 
 def _probe_sep_conv1d(rng):
-    x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
-    taps = Tensor(rng.normal(size=5), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3, 6, 8)), requires_grad=True)
+    low = Tensor(rng.normal(size=3), requires_grad=True)
+    high = Tensor(rng.normal(size=5), requires_grad=True)
 
     def run():
-        a = ops.sep_conv1d(x, taps, axis=3, stride=1, pad_mode="symmetric")
-        return ops.sep_conv1d(a, taps, axis=2, stride=2, pad_mode="zero")
+        # both filters over both axes, then zero padding, stride 2 and summed bands
+        a = ops.sep_conv1d(x, (low, high), axis=(3, 2), stride=1, pad_mode="symmetric")
+        return ops.sep_conv1d(a, (low, high), axis=(2, 3), stride=2, pad_mode="zero",
+                              bands=PAIRS)
 
     s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, "taps": taps}
+    return lambda: s(run()), {"x": x, "low": low, "high": high}
 
 
 def _probe_distance_matrix(rng):
@@ -316,6 +320,17 @@ def _probe_modulation_block(rng):
     return lambda: s(run()), {"x": x, **dict(block.named_params("blk"))}
 
 
+def _probe_context(rng):
+    block = ModulationBlock(8, rng)
+    block.filters.low = Tensor(rng.normal(size=3), requires_grad=True)
+    block.filters.high = Tensor(rng.normal(size=5), requires_grad=True)
+    h = Tensor(rng.normal(size=(2, 8, 6, 6)), requires_grad=True)
+    run = lambda: block.context(h)
+    s = _scalarize(run(), rng)
+    return lambda: s(run()), {"h": h, "context_proj": block.context_proj,
+                              "low": block.filters.low, "high": block.filters.high}
+
+
 def _probe_wave_pool(rng):
     pool = WavePool(4, 6, rng, stride=2)
     x = Tensor(rng.normal(size=(1, 4, 6, 6)), requires_grad=True)
@@ -363,6 +378,7 @@ BLOCK_PROBES = [
     ("wave_decompose", _probe_wave_decompose),
     ("extract_stage", _probe_extract_stage),
     ("modulation_block", _probe_modulation_block),
+    ("context", _probe_context),
     ("wave_pool", _probe_wave_pool),
     ("attenuation", _probe_attenuation),
     ("ray_layer", _probe_ray_layer),

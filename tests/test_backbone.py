@@ -19,6 +19,8 @@ from waveray.backbone import (
     wave_decompose,
 )
 from waveray.errors import ConfigError, ShapeError
+from waveray.model import WaveletClassifier, cross_entropy, desk_config
+from waveray.ops import pointwise_conv, sep_conv1d
 
 
 def decompose_oracle(x, low, high, stride):
@@ -179,6 +181,81 @@ class TestModulationBlock:
         backward(loss, tape)
         for name, p in block.named_params("b"):
             assert p.grad is not None, name
+
+
+def _chain_decompose(f, filters, stride):
+    """The band split as six single-filter calls, width first."""
+    fl = sep_conv1d(f, filters.low, axis=3, stride=stride)
+    fh = sep_conv1d(f, filters.high, axis=3, stride=stride)
+    return (sep_conv1d(fl, filters.low, axis=2, stride=stride),
+            sep_conv1d(fl, filters.high, axis=2, stride=stride),
+            sep_conv1d(fh, filters.low, axis=2, stride=stride),
+            sep_conv1d(fh, filters.high, axis=2, stride=stride))
+
+
+def _chain_extract_forward(self, x):
+    x = pointwise_conv(ad.concat(_chain_decompose(x, self.filters, 2), axis=1), self.mix)
+    return ad.gelu(self.norm.forward(x))
+
+
+def _chain_context(self, h):
+    narrow = pointwise_conv(h, self.context_proj)
+    bands = _chain_decompose(narrow, self.filters, 1)
+    low, high = self.filters.low, self.filters.high
+    paths = ((low, low), (low, high), (high, low), (high, high))
+    refined = [sep_conv1d(sep_conv1d(band, fw, axis=3), fh, axis=2)
+               for band, (fw, fh) in zip(bands, paths)]
+    return ad.concat(refined, axis=1)
+
+
+def _chain_pool_forward(self, x):
+    ll, lh, hl, hh = _chain_decompose(x, self.filters, self.stride)
+    fused = ad.concat([ad.add(ll, hh), ad.add(lh, hl)], axis=1)
+    return self.norm.forward(pointwise_conv(fused, self.mix))
+
+
+def _desk_step(batch):
+    model = WaveletClassifier(desk_config(rays=3), seed=0)
+    gen = np.random.default_rng(batch)
+    images = Tensor(gen.normal(0.5, 0.25, size=(batch, 3, 32, 32)))
+    labels = gen.integers(0, 3, size=batch)
+    with Tape() as tape:
+        loss = cross_entropy(model.forward(images), labels)
+    backward(loss, tape)
+    return loss, model.parameters(), len(tape)
+
+
+class TestBandNode:
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_step_is_bit_identical_to_single_filter_chain(self, batch, monkeypatch):
+        loss, params, _ = _desk_step(batch)
+        monkeypatch.setattr(ExtractStage, "forward", _chain_extract_forward)
+        monkeypatch.setattr(ModulationBlock, "context", _chain_context)
+        monkeypatch.setattr(WavePool, "forward", _chain_pool_forward)
+        want_loss, want, _ = _desk_step(batch)
+        assert params[next(iter(params))].dtype == np.float32
+        assert np.array_equal(loss.data, want_loss.data)
+        for name, p in params.items():
+            assert np.array_equal(p.grad, want[name].grad), name
+
+    def test_wave_decompose_matches_single_filter_chain(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        filters = WaveFilterPair()
+        for stride in (1, 2):
+            for got, want in zip(wave_decompose(x, filters, stride),
+                                 _chain_decompose(x, filters, stride)):
+                np.testing.assert_array_equal(got.data, want.data)
+
+    def test_context_records_one_sep_conv1d_node(self, rng):
+        block = ModulationBlock(8, rng)
+        h = Tensor(rng.normal(size=(2, 8, 4, 4)), requires_grad=True)
+        with Tape() as tape:
+            block.context(h)
+        kinds = [n.backward.__qualname__.split(".")[0] for n in tape.nodes]
+        assert kinds == ["pointwise_conv", "sep_conv1d"]
+
+    def test_desk_step_records_at_most_160_nodes(self):
+        assert _desk_step(2)[2] <= 160
 
 
 class TestWavePool:

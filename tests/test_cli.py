@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from waveray.autodiff import get_precision, precision, set_precision
+from waveray.autodiff import get_precision, precision
 from waveray.checkpoint import load_checkpoint
 from waveray.cli import _checkpoint_model, build_configs, main, parse_config_file
 from waveray.data import load_dataset
@@ -157,6 +157,12 @@ class TestTrain:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_double_training_leaves_precision_single(self, synth_dir, tmp_path, capsys):
+        assert run_cli("train", "--data", synth_dir, "--out", tmp_path / "o", "--epochs", 1,
+                       "--batch-size", 8, "--set", "classes=2",
+                       "--set", "precision=double") == 0
+        assert get_precision() == "single"
+
     @pytest.mark.parametrize("flags,match", [
         (("--batch-size", 0), "batch_size"),
         (("--epochs", 0), "epochs"),
@@ -198,7 +204,6 @@ class TestEval:
         assert run_cli("train", "--data", synth_dir, "--out", out, "--epochs", 2,
                        "--batch-size", 8, "--rays", 1, "--set", "classes=2",
                        "--set", "n_origins=4", "--set", "precision=double") == 0
-        set_precision("single")  # train leaves its precision set; eval must not rely on that
         capsys.readouterr()
         ckpt = out / "checkpoint_final.wrnc"
         state = load_checkpoint(ckpt)

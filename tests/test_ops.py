@@ -6,9 +6,12 @@ runs in double precision so the comparison measures algorithm agreement,
 not accumulation order.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import correlate1d
 
 from waveray.autodiff import Tape, Tensor, backward, mul, precision, reduce_sum
 from waveray.errors import ShapeError
@@ -368,6 +371,105 @@ class TestSepConv1d:
             sep_conv1d(x, Tensor(np.ones(3)), axis=1)
         with pytest.raises(ShapeError):
             sep_conv1d(x, Tensor(np.ones(3)), axis=2, stride=3)
+
+
+def bank_oracle(x, bank, axes, stride, rounds, bands, pad_mode):
+    """Each band as a sum of compositions of scipy correlations, one per pass."""
+    mode = "reflect" if pad_mode == "symmetric" else "constant"
+
+    def filt(a, taps, axis):
+        full = correlate1d(a, taps, axis=axis, mode=mode, cval=0.0, output=np.float64)
+        sl = [slice(None)] * a.ndim
+        sl[axis] = slice(0, None, stride)
+        return full[tuple(sl)]
+
+    out = []
+    for band in bands:
+        total = 0.0
+        for path in band:
+            a = x
+            for _ in range(rounds):
+                for f, axis in zip(path, axes):
+                    a = filt(a, bank[f], axis)
+            total = total + a
+        out.append(total)
+    return np.concatenate(out, axis=1)
+
+
+PAIRS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+EVERY_PAIR = [[[p]] for p in itertools.product(range(2), repeat=2)]  # one band each
+
+
+class TestSepConv1dBank:
+    @pytest.mark.parametrize("lengths,axes,stride,rounds,bands,pad_mode", [
+        ((3, 5), (3, 2), 1, 1, None, "symmetric"),  # the four stride-1 bands
+        ((3, 5), (3, 2), 2, 1, None, "symmetric"),  # decimating extraction
+        ((3, 5), (3, 2), 1, 2, None, "symmetric"),  # modulation context
+        ((3, 5), (3, 2), 2, 1, PAIRS, "symmetric"),  # pooling pair fusion
+        ((3, 5), (3, 2), 2, 2, PAIRS, "zero"),
+        ((3, 5, 7), (2, 3), 1, 1, None, "zero"),  # three filters, nine bands
+        ((3, 5, 7), (3, 2), 2, 1, (((2, 0), (0, 2), (1, 1)), ((2, 2),)), "symmetric"),
+        ((5,), (2, 2, 3), 2, 1, None, "symmetric"),  # one filter, a repeated axis
+        # filter 0 of the second pass reads parents 0, 1 and 3: not a strided slice
+        ((3, 5, 7, 3), (3, 2), 1, 1, (((0, 0),), ((1, 0),), ((3, 0),), ((2, 1),)), "zero"),
+    ])
+    def test_matches_correlate1d_compositions(self, lengths, axes, stride, rounds, bands,
+                                              pad_mode):
+        gen = np.random.default_rng(sum(lengths) + 10 * stride + 100 * rounds)
+        with precision("double"):
+            x = gen.normal(size=(2, 3, 16, 12))
+            bank = [gen.normal(size=k) for k in lengths]
+            got = sep_conv1d(Tensor(x), [Tensor(b) for b in bank], axis=axes, stride=stride,
+                             pad_mode=pad_mode, rounds=rounds, bands=bands).data
+        every = tuple(((p,) for p in itertools.product(range(len(lengths)),
+                                                        repeat=len(axes))))
+        want = bank_oracle(x, bank, axes, stride, rounds, bands or every, pad_mode)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_default_bands_stack_every_path_in_order(self, rng):
+        x = Tensor(rng.normal(size=(1, 2, 8, 8)))
+        low, high = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=5))
+        stacked = sep_conv1d(x, (low, high), axis=(3, 2)).data
+        each = [sep_conv1d(x, (low, high), axis=(3, 2), bands=b).data
+                for b in EVERY_PAIR]
+        np.testing.assert_array_equal(stacked, np.concatenate(each, axis=1))
+
+    def test_one_filter_one_axis_is_the_plain_call(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 8, 6)))
+        taps = Tensor(rng.normal(size=5))
+        plain = sep_conv1d(x, taps, axis=2, stride=2).data
+        banked = sep_conv1d(x, [taps], axis=[2], stride=2, bands=[[(0,)]]).data
+        np.testing.assert_array_equal(plain, banked)
+
+    def test_pair_bands_are_exact_sums(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        low, high = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=5))
+        ll, lh, hl, hh = (sep_conv1d(x, (low, high), axis=(3, 2), bands=b).data
+                          for b in EVERY_PAIR)
+        fused = sep_conv1d(x, (low, high), axis=(3, 2), bands=PAIRS).data
+        np.testing.assert_array_equal(fused, np.concatenate([ll + hh, lh + hl], axis=1))
+
+    def test_bank_is_one_tape_node(self, rng):
+        x = Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
+        low = Tensor(rng.normal(size=3), requires_grad=True)
+        high = Tensor(rng.normal(size=5), requires_grad=True)
+        with Tape() as tape:
+            sep_conv1d(x, (low, high), axis=(3, 2), rounds=2)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("bands", [(), ((),), (((0,),),), (((0, 2),),)])
+    def test_malformed_bands_rejected(self, bands):
+        x = Tensor(np.ones((1, 1, 8, 8)))
+        with pytest.raises(ShapeError, match="bands"):
+            sep_conv1d(x, (Tensor(np.ones(3)), Tensor(np.ones(5))), axis=(3, 2), bands=bands)
+
+    def test_bad_rounds_and_empty_bank_rejected(self):
+        x = Tensor(np.ones((1, 1, 8, 8)))
+        with pytest.raises(ShapeError, match="rounds"):
+            sep_conv1d(x, Tensor(np.ones(3)), axis=3, rounds=0)
+        with pytest.raises(ShapeError, match="taps"):
+            sep_conv1d(x, [], axis=3)
 
 
 def test_desk_step_calls_no_einsum(monkeypatch):
