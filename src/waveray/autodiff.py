@@ -91,7 +91,7 @@ class Tensor:
     it; only the optimizer rewrites leaf ``data``, between recorded steps.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=default_dtype())
@@ -100,7 +100,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.is_leaf = True
 
     @classmethod
     def _from_op(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -112,7 +111,6 @@ class Tensor:
         out.data = arr
         out.requires_grad = requires_grad
         out.grad = None
-        out.is_leaf = False
         return out
 
     @property
@@ -135,15 +133,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(())[()])
-
-    def detach(self) -> "Tensor":
-        """A new leaf sharing this tensor's data, with gradients off."""
-        out = object.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out.is_leaf = True
-        return out
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -185,11 +185,11 @@ class ModulationBlock(Module):
         narrow = pointwise_conv(h, self.context_proj)
         return self.filters.decompose(narrow, stride=1, rounds=2)
 
-    def forward(self, x: Tensor, context_override: Tensor = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.channels:
             raise ShapeError(f"block built for {self.channels} channels, got {x.shape[1]}")
         h = self.norm.forward(x)
-        a = self.context(h) if context_override is None else context_override
+        a = self.context(h)
         v = pointwise_conv(h, self.value_proj)
         return ad.add(x, pointwise_conv(ad.mul(a, v), self.out_proj))
 

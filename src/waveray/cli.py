@@ -7,8 +7,12 @@ machines (metrics, counts, file paths) goes to stdout.
 Exit codes: 0 success, 1 usage/config/data errors, 2 training divergence,
 3 verification (gradient check) failure.
 
-Configuration files are flat ``key = value`` text with ``#`` comments.
-Command line flags override file values, which override the defaults.
+Configuration keys are the fields of ``ModelConfig``, ``BackboneConfig`` and
+``TrainConfig`` plus ``preset`` (``desk`` or ``table1``, the defaults the
+fields override).  ``--config`` reads flat ``key = value`` text with ``#``
+comments; named flags override file values and ``--set key=value`` overrides
+both.  ``train`` writes every key of the run to ``config.txt``, which
+``--config`` reads back.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .autodiff import Tensor, precision
+from .backbone import BackboneConfig
 from .checkpoint import load_checkpoint
 from .data import (
     SyntheticSpec,
@@ -32,35 +37,15 @@ from .data import (
 from .errors import ConfigError, DivergenceError, WaverayError
 from .gradcheck import DEFAULT_TOL, run_scope
 from .model import ModelConfig, WaveletClassifier, desk_config, param_count, table1_config
-from .train import METRICS_HEADER, TrainConfig, evaluate, train
+from .train import METRICS_HEADER, TrainConfig, evaluate, origin_rows, train
 
-_MODEL_KEYS = {
-    "preset": str,
-    "classes": int,
-    "input_extent": int,
-    "rays": int,
-    "d_model": int,
-    "n_origins": int,
-    "share_ray_fields": bool,
-    "stem_channels": int,
-    "extraction_channels": "ints",
-    "refinement_channels": "ints",
-    "blocks_per_stage": int,
-    "refinement_stages": int,
-    "ray_layers_per_stage": int,
-    "bottleneck_factor": int,
-}
-_TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "peak_lr": float,
-    "weight_decay": float,
-    "warmup_fraction": float,
-    "seed": int,
-    "precision": str,
-    "checkpoint_every": int,
-}
-_KNOWN_KEYS = {**_MODEL_KEYS, **_TRAIN_KEYS}
+
+def _keys(cls) -> dict[str, str]:
+    """Config keys of one config class: field name -> annotated type name."""
+    return {f.name: f.type for f in fields(cls) if f.name != "backbone"}
+
+
+_KINDS = {"preset": "str", **_keys(ModelConfig), **_keys(BackboneConfig), **_keys(TrainConfig)}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -75,7 +60,7 @@ def parse_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KINDS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
@@ -84,86 +69,58 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def _convert(key: str, text: str):
-    kind = _KNOWN_KEYS[key]
+    kind = _KINDS[key]
     try:
-        if kind is bool:
+        if kind == "bool":
             if text.lower() in ("true", "1", "yes", "on"):
                 return True
             if text.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(text)
-        if kind == "ints":
-            return tuple(int(p.strip()) for p in text.split(","))
-        return kind(text)
+        if kind == "tuple":
+            return tuple(int(p) for p in text.split(","))
+        return {"int": int, "float": float, "str": str}[kind](text)
     except ValueError:
         raise ConfigError(f"bad value for {key!r}: {text!r}") from None
 
 
 def build_configs(values: dict) -> tuple[ModelConfig, TrainConfig]:
-    """Assemble configs from a flat key->string dict (already merged)."""
+    """Assemble and validate configs from a flat key->value dict (already merged)."""
     typed = {k: _convert(k, v) if isinstance(v, str) else v for k, v in values.items()}
     preset = typed.pop("preset", "desk")
-    if preset == "desk":
-        model = desk_config()
-    elif preset == "table1":
-        model = table1_config()
-    else:
+    presets = {"desk": desk_config, "table1": table1_config}
+    if preset not in presets:
         raise ConfigError(f"preset must be 'desk' or 'table1', got {preset!r}")
-    bb = model.backbone
-    for key in _MODEL_KEYS:
-        if key == "preset" or key not in typed:
-            continue
-        value = typed[key]
-        if hasattr(bb, key):
-            bb = replace(bb, **{key: value})
-        else:
-            model = replace(model, **{key: value})
-    model = replace(model, backbone=bb)
-    tc = TrainConfig()
-    for key in _TRAIN_KEYS:
-        if key in typed:
-            tc = replace(tc, **{key: typed[key]})
+    model = presets[preset]()
+
+    def section(cls) -> dict:
+        return {k: typed[k] for k in _keys(cls) if k in typed}
+
+    backbone = replace(model.backbone, **section(BackboneConfig))
+    model = replace(model, backbone=backbone, **section(ModelConfig))
+    tc = TrainConfig(**section(TrainConfig))
     tc.validate()
+    model.validate()
     return model, tc
 
 
 def _effective_config_text(model: ModelConfig, tc: TrainConfig) -> str:
-    bb = model.backbone
-    pairs = [
-        ("classes", model.classes),
-        ("input_extent", model.input_extent),
-        ("rays", model.rays),
-        ("d_model", model.d_model),
-        ("n_origins", model.n_origins),
-        ("share_ray_fields", model.share_ray_fields),
-        ("stem_channels", bb.stem_channels),
-        ("extraction_channels", ",".join(map(str, bb.extraction_channels))),
-        ("refinement_channels", ",".join(map(str, bb.refinement_channels))),
-        ("blocks_per_stage", bb.blocks_per_stage),
-        ("refinement_stages", bb.refinement_stages),
-        ("ray_layers_per_stage", bb.ray_layers_per_stage),
-        ("bottleneck_factor", bb.bottleneck_factor),
-        ("epochs", tc.epochs),
-        ("batch_size", tc.batch_size),
-        ("peak_lr", tc.peak_lr),
-        ("weight_decay", tc.weight_decay),
-        ("warmup_fraction", tc.warmup_fraction),
-        ("seed", tc.seed),
-        ("precision", tc.precision),
-        ("checkpoint_every", tc.checkpoint_every),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    lines = []
+    for cfg in (model, model.backbone, tc):
+        for key, kind in _keys(type(cfg)).items():
+            value = getattr(cfg, key)
+            if kind == "tuple":
+                value = ",".join(map(str, value))
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
-def _merge_cli_values(args, extra_flags: dict) -> dict:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key, val in extra_flags.items():
-        if val is not None:
-            values[key] = val
-    for key, text in getattr(args, "set", None) or []:
-        if key not in _KNOWN_KEYS:
+def _merge_cli_values(args) -> dict:
+    """Config file values, then every named flag set on the command line, then ``--set``."""
+    values: dict = parse_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in _KINDS and v is not None)
+    for key, text in args.set or []:
+        if key not in _KINDS:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = text
     return values
@@ -180,17 +137,7 @@ def _split_set_args(pairs) -> list[tuple[str, str]]:
 
 
 def cmd_train(args) -> int:
-    values = _merge_cli_values(args, {
-        "seed": args.seed,
-        "rays": args.rays,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "peak_lr": args.peak_lr,
-        "weight_decay": args.weight_decay,
-        "checkpoint_every": args.checkpoint_every,
-    })
-    model_cfg, train_cfg = build_configs(values)
-    model_cfg.validate()
+    model_cfg, train_cfg = build_configs(_merge_cli_values(args))
     with precision(train_cfg.precision):
         dataset = load_dataset(args.data, classes=model_cfg.classes)
         if dataset.extent != model_cfg.input_extent:
@@ -206,7 +153,7 @@ def cmd_train(args) -> int:
         history = train(model, dataset, train_cfg, out_dir=out_dir)
     epoch, final, lr = history[-1]
     print(METRICS_HEADER)
-    print(f"{epoch},{final.csv_fields()},{lr:.8g},{final.images_per_second:.2f}")
+    print(final.csv_row(epoch, lr))
     return 0
 
 
@@ -225,7 +172,7 @@ def cmd_eval(args) -> int:
         dataset = load_dataset(args.data, classes=model.config.classes)
         metrics = evaluate(model, dataset, batch_size=args.batch_size)
     print(METRICS_HEADER)
-    print(f"{state.epoch},{metrics.csv_fields()},0,{metrics.images_per_second:.2f}")
+    print(metrics.csv_row(state.epoch, 0))
     return 0
 
 
@@ -267,25 +214,13 @@ def cmd_export_maps(args) -> int:
     export_map(amap.combined_image(), out_dir / "combined.pgm")
     for i, image in enumerate(amap.per_origin_images()):
         export_map(image, out_dir / f"origin_{i:02d}.pgm")
-    rows = []
-    idx = 0
-    for fld in model.ray_fields():
-        for x, y in fld.origins.data:
-            rows.append((state.epoch, idx, float(x), float(y)))
-            idx += 1
-    write_origin_csv(out_dir / "origins.csv", rows)
+    write_origin_csv(out_dir / "origins.csv", origin_rows(model, state.epoch))
     print(out_dir)
     return 0
 
 
 def cmd_param_count(args) -> int:
-    values = _merge_cli_values(args, {
-        "preset": "table1" if args.table1 else None,
-        "rays": args.rays,
-        "classes": args.classes,
-    })
-    cfg, _ = build_configs(values)
-    cfg.validate()
+    cfg, _ = build_configs(_merge_cli_values(args))
     per, total = param_count(cfg)
     print("component,parameters")
     for name, count in per.items():
@@ -352,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param-count", help="parameter counts for a configuration")
     p.add_argument("--config")
-    p.add_argument("--table1", action="store_true",
+    p.add_argument("--table1", dest="preset", action="store_const", const="table1",
                    help="use the full-scale preset (same as --set preset=table1)")
     p.add_argument("--rays", type=int)
     p.add_argument("--classes", type=int)

