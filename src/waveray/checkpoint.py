@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -153,7 +154,7 @@ class _Reader:
         return self.blob[start : start + n].decode("utf-8")
 
     def array(self, dtype: np.dtype, shape: tuple) -> np.ndarray:
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)  # Python ints: a huge shape cannot wrap to a small count
         start = self._advance(count * dtype.itemsize)
         return np.frombuffer(self.blob, dtype, count, start).reshape(shape).copy()
 

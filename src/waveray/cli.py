@@ -220,7 +220,8 @@ def cmd_export_maps(args) -> int:
 
 
 def cmd_param_count(args) -> int:
-    cfg, _ = build_configs(_merge_cli_values(args))
+    values = _merge_cli_values(args)  # unknown keys still fail; training settings count nothing
+    cfg, _ = build_configs({k: v for k, v in values.items() if k not in _keys(TrainConfig)})
     per, total = param_count(cfg)
     print("component,parameters")
     for name, count in per.items():

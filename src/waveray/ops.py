@@ -9,16 +9,15 @@ blocks).
 The filter bank takes several tap vectors and several spatial axes at
 once and computes every band the wavelet blocks need in one call and one
 tape node.  Its path prefixes form a tree, stored level by level as one
-stack of maps, so the forward filters all nodes that share a filter with
-the same per-tap multiply-adds.  Each level is padded once, for its widest
-filter.  The backward runs node by node on maps of a lone call's size.
-Per element, the arithmetic is that of the equivalent chain of
-single-filter calls, in the same order; every tap gradient is the same
-per-node sum, and the input and tap gradients reach the tape in the
-chain's reverse order.  Results and gradients thus equal the chain's bit
-for bit.  Symmetric padding keeps a constant map constant under an
-averaging filter right up to the borders, which the zero-padded general
-convolution cannot do.
+stack of maps: the forward pads each level once, symmetrically, for its
+widest filter, and filters all nodes that share a filter with the same
+per-tap multiply-adds.  The backward replays the tape of the equivalent
+chain of single-filter calls node by node, on maps of a lone call's size:
+it sums each value's gradient over its uses in arrival order and hands
+the input and tap gradients to the tape per node, so results and
+gradients equal the chain's bit for bit.  Symmetric padding keeps a
+constant map constant under an averaging filter right up to the borders,
+which the zero-padded general convolution cannot do.
 
 The two channel-mixing kernels call ``np.matmul`` directly, in the operand
 order and memory layout that numpy's ``einsum(..., optimize=True)`` uses for
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -178,49 +176,23 @@ def _stack_index(positions: list[int]):
     return np.array(positions)
 
 
-@dataclass(frozen=True)
-class _Group:
-    """The nodes of one level that apply bank filter ``f`` (``k`` taps): they
-    read the parents at ``src`` and fill the level's positions ``dst``."""
-
-    f: int
-    k: int
-    before: int  # the filter's own padding
-    after: int
-    off: int  # where its padding starts inside the level's shared one
-    parents: tuple
-    src: object  # the parents as one index: a slice where they are evenly spaced
-    dst: slice
-    ranks: tuple  # record position of each node
-
-
-@dataclass(frozen=True)
-class _Level:
-    axis: int  # of the (node, N, C, H, W) stack
-    before: int  # the shared padding: the widest of the level's filters
-    after: int
-    groups: tuple
-    parent_terms: tuple  # per parent node: its children's positions, last recorded first
-
-
-@dataclass(frozen=True)
-class _Plan:
-    levels: tuple
-    band_leaves: tuple  # per band: the leaves it sums, in order
-    leaf_terms: tuple  # per leaf: the bands that read it, last band first
-    slots: tuple  # inputs and backward outputs, last recorded node first: (is_x, f, rank)
-
-
 @functools.lru_cache(maxsize=None)
-def _bank_plan(lengths: tuple, axes: tuple, stride: int, rounds: int, bands) -> _Plan:
+def _bank_plan(lengths: tuple, axes: tuple, stride: int, rounds: int, bands) -> tuple:
     """Lay out the prefix tree of the bands' paths as one node stack per level.
 
-    A node is a path prefix; its parent is the prefix one filter shorter.
-    Within a level, nodes are ordered by filter, then by parent, so each
-    filter's nodes fill one slice of the level's stack.  The record order is
-    that of the equivalent chain of single-filter calls: the first round
-    level by level in lexicographic order, then each later round path by
-    path.  Backward accumulates in the reverse of that order.
+    A node is a path prefix; its parent is the prefix one filter shorter,
+    and the input is the root ``()``.  Returns ``(order, levels, where,
+    leaves)``:
+
+    - ``order``: the nodes in the record order of the equivalent chain of
+      single-filter calls: the first round level by level in lexicographic
+      order, then each later round path by path;
+    - ``levels``: per level, the axis of the (node, N, C, H, W) stack, its
+      shared padding (the widest filter's) and, per filter, the filter, its
+      nodes' parents (a slice where evenly spaced) and the slice of the
+      stack its nodes fill.  Nodes are ordered by filter, then by parent;
+    - ``where``: each node's level and position in its level's stack;
+    - ``leaves``: per band, the leaves it sums, in order.
     """
     if bands is None:
         bands = tuple((p,) for p in itertools.product(range(len(lengths)), repeat=len(axes)))
@@ -234,72 +206,24 @@ def _bank_plan(lengths: tuple, axes: tuple, stride: int, rounds: int, bands) -> 
     paths = sorted({p * rounds for band in bands for p in band})
     first = [q for n in range(1, len(axes) + 1) for q in sorted({p[:n] for p in paths})]
     chains = [p[:n] for p in paths for n in range(len(axes) + 1, len(axes) * rounds + 1)]
-    rank = {q: i for i, q in enumerate(first + chains)}
     levels = []
-    pos = {(): 0}
+    where = {(): (-1, 0)}
     for n in range(1, len(axes) * rounds + 1):
-        nodes = sorted({p[:n] for p in paths}, key=lambda q: (q[-1], pos[q[:-1]]))
-        filters = sorted({q[-1] for q in nodes})
-        pads = {f: _pad_extents(lengths[f], stride) for f in filters}
-        before = max(b for b, _ in pads.values())
-        groups = []
-        terms = [[] for _ in pos]
-        for f in filters:
-            members = [q for q in nodes if q[-1] == f]
-            start = nodes.index(members[0])
-            for j, q in enumerate(members):
-                terms[pos[q[:-1]]].append((rank[q], start + j))
-            parents = [pos[q[:-1]] for q in members]
-            groups.append(_Group(
-                f, lengths[f], *pads[f], before - pads[f][0], tuple(parents),
-                _stack_index(parents),
-                slice(start, start + len(members)), tuple(rank[q] for q in members),
-            ))
-        levels.append(_Level(
-            axes[(n - 1) % len(axes)] + 1, before, max(a for _, a in pads.values()),
-            tuple(groups),
-            tuple(tuple(i for _, i in sorted(t, reverse=True)) for t in terms) if n > 1 else (),
-        ))
-        pos = {q: i for i, q in enumerate(nodes)}
-    band_leaves = tuple(tuple(pos[p * rounds] for p in band) for band in bands)
-    leaf_terms = tuple(
-        tuple(b for b in reversed(range(len(bands))) if leaf in band_leaves[b])
-        for leaf in range(len(pos))
-    )
-    slots = []
-    for q in sorted(rank, key=rank.get, reverse=True):
-        if len(q) == 1:
-            slots.append((True, q[-1], rank[q]))  # the filtered input itself
-        slots.append((False, q[-1], rank[q]))
-    return _Plan(tuple(levels), band_leaves, leaf_terms, tuple(slots))
+        nodes = sorted({p[:n] for p in paths}, key=lambda q: (q[-1], where[q[:-1]][1]))
+        filters = []
+        for f in sorted({q[-1] for q in nodes}):
+            mine = [i for i, q in enumerate(nodes) if q[-1] == f]
+            parents = _stack_index([where[nodes[i][:-1]][1] for i in mine])
+            filters.append((f, parents, slice(mine[0], mine[-1] + 1)))
+        pads = [_pad_extents(lengths[f], stride) for f, _, _ in filters]
+        levels.append((axes[(n - 1) % len(axes)] + 1, max(b for b, _ in pads),
+                       max(a for _, a in pads), tuple(filters)))
+        where.update((q, (n - 1, i)) for i, q in enumerate(nodes))
+    leaves = tuple(tuple(p * rounds for p in band) for band in bands)
+    return tuple(first + chains), tuple(levels), where, leaves
 
 
-def _pad(stack: np.ndarray, level: _Level, pad_mode: str) -> np.ndarray:
-    axis, before, after = level.axis, level.before, level.after
-    length = stack.shape[axis]
-    if pad_mode == "symmetric":
-        if before > length or after > length:
-            raise ShapeError(
-                f"extent {length} too small for symmetric padding ({before}, {after})"
-            )
-        return stack.take(_mirror_index(length, before, after), axis=axis)
-    shape = list(stack.shape)
-    shape[axis] += before + after
-    padded = np.zeros(shape, dtype=stack.dtype)
-    padded[_windows(axis, before, 1, length, 1)[0]] = stack
-    return padded
-
-
-def _sum_in_order(terms: list) -> np.ndarray:
-    """((t0 + t1) + t2) + ..., the order a tape sums a value's uses in."""
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
-
-
-def sep_conv1d(x, taps, axis, stride: int = 1, pad_mode: str = "symmetric", rounds: int = 1,
-               bands=None) -> Tensor:
+def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> Tensor:
     """Depthwise separable 1-D filter bank with taps shared across channels.
 
     ``taps`` is one tap vector or a bank of them; ``axis`` is one spatial
@@ -312,13 +236,14 @@ def sep_conv1d(x, taps, axis, stride: int = 1, pad_mode: str = "symmetric", roun
     stacked on the channel axis: the output is (N, len(bands) * C, H', W').
     One filter along one axis is the plain depthwise correlation.
 
-    Every pass pads by ``len(taps) - stride`` (left-heavy when odd), so
-    stride 1 preserves the extent and stride 2 exactly halves an even
-    extent.  ``pad_mode`` is "symmetric" (edge-mirrored, the default for
-    the wavelet blocks) or "zero".  Each level of the path tree is padded
+    Every pass pads symmetrically (edge-mirrored) by ``len(taps) - stride``
+    (left-heavy when odd), so stride 1 preserves the extent and stride 2
+    exactly halves an even extent.  Each level of the path tree is padded
     once, for its longest filter, and shorter filters read a slice of that
-    pad.  The whole bank is one tape node; its outputs and gradients are
-    bit-identical to the equivalent chain of single-filter calls.
+    pad.  The whole bank is one tape node, whose backward replays the tape
+    of the equivalent chain: single-filter calls, each band's sum as a left
+    fold of adds, then a concat of the bands.  Outputs and gradients are
+    bit-identical to that chain's.
     """
     x = _as_tensor(x)
     bank = (taps,) if isinstance(taps, (Tensor, np.ndarray)) else tuple(taps)
@@ -332,76 +257,87 @@ def sep_conv1d(x, taps, axis, stride: int = 1, pad_mode: str = "symmetric", roun
         raise ShapeError(f"axis must be 2 (height) or 3 (width), got {axis}")
     if stride not in (1, 2):
         raise ShapeError(f"stride must be 1 or 2, got {stride}")
-    if pad_mode not in ("symmetric", "zero"):
-        raise ShapeError(f"pad_mode must be 'symmetric' or 'zero', got {pad_mode!r}")
     if rounds < 1:
         raise ShapeError(f"rounds must be at least 1, got {rounds}")
     if bands is not None:
         bands = tuple(tuple(tuple(int(i) for i in p) for p in band) for band in bands)
-    plan = _bank_plan(tuple(t.size for t in bank), axes, stride, rounds, bands)
+    order, levels, where, leaves = _bank_plan(tuple(t.size for t in bank), axes, stride, rounds,
+                                              bands)
     tap_vals = [t.data for t in bank]
     dtype = np.result_type(x.data, *tap_vals)
 
     stack = x.data[None]  # (node, N, C, H, W): one node per path prefix
-    saved = []
-    for level in plan.levels:
-        length = stack.shape[level.axis]
+    saved = []  # per level: the padded parent stack, one node's axis, shared pad, extent
+    for axis_, before, after, filters in levels:
+        length = stack.shape[axis_]
+        if before > length or after > length:
+            raise ShapeError(f"extent {length} too small for symmetric padding ({before}, {after})")
+        xp = stack.take(_mirror_index(length, before, after), axis=axis_)
         out_len = (length - stride) // stride + 1
-        xp = _pad(stack, level, pad_mode)
         shape = list(stack.shape)
-        shape[0] = level.groups[-1].dst.stop
-        shape[level.axis] = out_len
+        shape[0], shape[axis_] = filters[-1][2].stop, out_len
         stack = np.empty(shape, dtype=dtype)
-        for group in level.groups:
-            taps_f = tap_vals[group.f]
-            xs = xp[group.src]
-            dest = stack[group.dst]
-            windows = _windows(level.axis, group.off, group.k, out_len, stride)
+        for f, parents, nodes in filters:
+            taps_f = tap_vals[f]
+            xs, dest = xp[parents], stack[nodes]
+            off = before - _pad_extents(taps_f.size, stride)[0]
+            windows = _windows(axis_, off, taps_f.size, out_len, stride)
             np.multiply(taps_f[0], xs[windows[0]], out=dest)
-            for t in range(1, group.k):
+            for t in range(1, taps_f.size):
                 dest += taps_f[t] * xs[windows[t]]
-        saved.append((xp, length, out_len))
+        saved.append((xp, axis_ - 1, before, length))
 
     n, c = x.shape[:2]
-    out = np.empty((n, len(plan.band_leaves), c) + stack.shape[3:], dtype=dtype)
-    for b, leaves in enumerate(plan.band_leaves):
-        out[:, b] = _sum_in_order([stack[leaf] for leaf in leaves])
+    out = np.empty((n, len(leaves), c) + stack.shape[3:], dtype=dtype)
+    for b, band in enumerate(leaves):
+        out[:, b] = functools.reduce(np.add, [stack[where[q][1]] for q in band])
     out = out.reshape(n, -1, *stack.shape[3:])
 
     def bw(g):
-        g5 = g.reshape(n, len(plan.band_leaves), c, *g.shape[2:])
-        node_grads = [_sum_in_order([g5[:, b] for b in terms]) for terms in plan.leaf_terms]
+        g5 = g.reshape(n, len(leaves), c, *g.shape[2:])
         grads = {}
-        for level, (xp, length, out_len) in zip(plan.levels[::-1], saved[::-1]):
-            ax = level.axis - 1  # of one node's (N, C, H, W) map
-            gxs = [None] * len(node_grads)
-            for group in level.groups:
-                taps_f = tap_vals[group.f]
-                reads = _windows(ax, group.off, group.k, out_len, stride)
-                writes = _windows(ax, 0, group.k, out_len, stride)
-                # node by node, on maps the size a lone call sees: the tap sums
-                # reduce the same arrays, and the maps stay cache-sized
-                for j, (parent, r) in enumerate(zip(group.parents, group.ranks)):
-                    xs = xp[parent]
-                    gg = node_grads[group.dst.start + j]
-                    shape = list(xs.shape)
-                    shape[ax] = length + group.before + group.after
-                    gxp = np.zeros(shape, dtype=xp.dtype)
-                    gtaps = np.empty(group.k, dtype=taps_f.dtype)
-                    for t in range(group.k):
-                        gtaps[t] = np.sum(gg * xs[reads[t]])
-                        gxp[writes[t]] += taps_f[t] * gg
-                    gx = np.ascontiguousarray(gxp[_windows(ax, group.before, 1, length, 1)[0]])
-                    if pad_mode == "symmetric":
-                        # fold the mirrored border back onto its sources
-                        gm, gpm = np.moveaxis(gx, ax, 0), np.moveaxis(gxp, ax, 0)
-                        for m in range(group.before):
-                            gm[group.before - 1 - m] += gpm[m]
-                        for m in range(group.after):
-                            gm[length - 1 - m] += gpm[group.before + length + m]
-                    grads[False, r], grads[True, r] = gtaps, gx
-                    gxs[group.dst.start + j] = gx
-            node_grads = [_sum_in_order([gxs[i] for i in terms]) for terms in level.parent_terms]
-        return tuple(grads[is_x, r] for is_x, _, r in plan.slots)
 
-    return _record_op(out, tuple(x if is_x else bank[f] for is_x, f, _ in plan.slots), bw)
+        def arrive(q, gq):  # the tape's rule: the first use's gradient, then acc + g
+            grads[q] = gq if q not in grads else grads[q] + gq
+
+        # the chain's concat hands out the bands in order; its adds then run last
+        # band first, and a fold t0 + t1 + t2 reaches t2 before t0 and t1
+        for b, band in enumerate(leaves):
+            if len(band) == 1:
+                arrive(band[0], g5[:, b])
+        for b in reversed(range(len(leaves))):
+            if len(leaves[b]) > 1:
+                for q in leaves[b][:1:-1] + leaves[b][:2]:
+                    arrive(q, g5[:, b])
+        input_grads = []
+        for q in reversed(order):
+            xp, ax, shared_before, length = saved[where[q][0]]
+            xs, gg, taps_f = xp[where[q[:-1]][1]], grads.pop(q), tap_vals[q[-1]]
+            k, out_len = taps_f.size, gg.shape[ax]
+            before, after = _pad_extents(k, stride)
+            # node by node: the tap sums reduce the chain's arrays, and maps stay cache-sized
+            reads = _windows(ax, shared_before - before, k, out_len, stride)
+            writes = _windows(ax, 0, k, out_len, stride)
+            shape = list(xs.shape)
+            shape[ax] = length + before + after
+            gxp = np.zeros(shape, dtype=xp.dtype)
+            gtaps = np.empty(k, dtype=taps_f.dtype)
+            for t in range(k):
+                gtaps[t] = np.sum(gg * xs[reads[t]])
+                gxp[writes[t]] += taps_f[t] * gg
+            gx = np.ascontiguousarray(gxp[_windows(ax, before, 1, length, 1)[0]])
+            # fold the mirrored border back onto its sources
+            gm, gpm = np.moveaxis(gx, ax, 0), np.moveaxis(gxp, ax, 0)
+            for m in range(before):
+                gm[before - 1 - m] += gpm[m]
+            for m in range(after):
+                gm[length - 1 - m] += gpm[before + length + m]
+            if len(q) > 1:
+                arrive(q[:-1], gx)
+                input_grads.append(gtaps)
+            else:  # the input's gradient goes to the tape, which sums its uses
+                input_grads += [gx, gtaps]
+        return tuple(input_grads)
+
+    inputs = [(x, bank[q[-1]]) if len(q) == 1 else (bank[q[-1]],) for q in reversed(order)]
+    return _record_op(out, sum(inputs, ()), bw)

@@ -221,6 +221,18 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="4 trailing bytes"):
             load_checkpoint(p)
 
+    def test_overflowing_shape_is_truncation(self, tmp_path):
+        """Extents whose product wraps a 64-bit element count to 0 still read as
+        a truncated file, even under a matching digest."""
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, CheckpointState({}, {"w": np.zeros((1, 1, 1, 1), np.float32)}))
+        blob = p.read_bytes()
+        extents_at = len(blob) - 8 - 4 - 16  # four u32 extents, one f4 payload, the digest
+        body = blob[8:extents_at] + struct.pack("<4I", *(65536,) * 4) + blob[-12:-8]
+        p.write_bytes(blob[:8] + body + blake2b64(body))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(p)
+
 
 class TestConfigEcho:
     def test_mismatch_names_the_fields(self, tmp_path, rng):

@@ -1,10 +1,13 @@
 """End-to-end command line behavior, driven in process through main()."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from waveray.autodiff import get_precision, precision
-from waveray.checkpoint import load_checkpoint
+from waveray.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 from waveray.cli import _checkpoint_model, build_configs, main, parse_config_file
 from waveray.data import load_dataset
 from waveray.errors import ConfigError
@@ -269,6 +272,16 @@ class TestEval:
         code = run_cli("eval", "--checkpoint", tmp_path / "none.wrnc", "--data", synth_dir)
         assert code == 1
 
+    def test_overflowing_record_shape_is_an_error_line(self, synth_dir, tmp_path, capsys):
+        p = tmp_path / "huge.wrnc"
+        save_checkpoint(p, CheckpointState({}, {"w": np.zeros((1, 1, 1, 1), np.float32)}))
+        blob = p.read_bytes()
+        extents_at = len(blob) - 8 - 4 - 16  # four u32 extents, one f4 payload, the digest
+        body = blob[8:extents_at] + struct.pack("<4I", *(65536,) * 4) + blob[-12:-8]
+        p.write_bytes(blob[:8] + body + hashlib.blake2b(body, digest_size=8).digest())
+        assert run_cli("eval", "--checkpoint", p, "--data", synth_dir) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestGradcheckCommand:
     def test_op_scope_passes(self, capsys):
@@ -314,6 +327,15 @@ class TestParamCount:
     def test_table1_honours_rays_from_set_and_flag(self, flags, capsys):
         assert run_cli("param-count", "--table1", *flags) == 0
         assert "total,11861435" in capsys.readouterr().out.splitlines()
+
+    def test_training_settings_are_ignored(self, tmp_path, capsys):
+        assert run_cli("param-count") == 0
+        plain = capsys.readouterr().out
+        p = tmp_path / "config.txt"
+        p.write_text("epochs = 0\npeak_lr = 0\n")
+        for flags in (("--set", "epochs=0"), ("--set", "peak_lr=0"), ("--config", p)):
+            assert run_cli("param-count", *flags) == 0, flags
+            assert capsys.readouterr().out == plain
 
 
 class TestExportMaps:

@@ -6,6 +6,7 @@ runs in double precision so the comparison measures algorithm agreement,
 not accumulation order.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate1d
 
-from waveray.autodiff import Tape, Tensor, backward, mul, precision, reduce_sum
+from waveray.autodiff import (Tape, Tensor, add, backward, concat, gelu, mul, precision,
+                              reduce_sum)
 from waveray.errors import ShapeError
 from waveray.model import WaveletClassifier, cross_entropy, desk_config
 from waveray.ops import conv2d, pointwise_conv, sep_conv1d
@@ -55,8 +57,8 @@ def conv2d_oracle(x, k, stride, padding, groups):
     return out
 
 
-def sep_conv1d_oracle(x, taps, axis, stride, pad_mode):
-    """Per-position loop along one axis with explicit border handling."""
+def sep_conv1d_oracle(x, taps, axis, stride):
+    """Per-position loop along one axis with explicit (mirrored) border handling."""
     k = len(taps)
     before = (k - stride + 1) // 2
     after = (k - stride) // 2
@@ -66,9 +68,9 @@ def sep_conv1d_oracle(x, taps, axis, stride, pad_mode):
     for j in range(length + before + after):
         src = j - before
         if src < 0:
-            value = moved[..., -src - 1] if pad_mode == "symmetric" else 0.0
+            value = moved[..., -src - 1]
         elif src >= length:
-            value = moved[..., 2 * length - src - 1] if pad_mode == "symmetric" else 0.0
+            value = moved[..., 2 * length - src - 1]
         else:
             value = moved[..., src]
         padded[..., j] = value
@@ -308,16 +310,16 @@ class TestPointwiseConv:
 class TestSepConv1d:
     @pytest.mark.parametrize("axis", [2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("pad_mode", ["symmetric", "zero"])
+    # symmetric is the only padding mode; the parameter keeps the case ids
+    @pytest.mark.parametrize("pad_mode", ["symmetric"])
     @pytest.mark.parametrize("klen", [3, 5])
     def test_matches_loop_oracle(self, axis, stride, pad_mode, klen):
         gen = np.random.default_rng(axis * 100 + stride * 10 + klen)
         with precision("double"):
             x = gen.normal(size=(2, 3, 8, 6))
             taps = gen.normal(size=klen)
-            got = sep_conv1d(Tensor(x), Tensor(taps), axis=axis, stride=stride,
-                             pad_mode=pad_mode).data
-            want = sep_conv1d_oracle(x, taps, axis, stride, pad_mode)
+            got = sep_conv1d(Tensor(x), Tensor(taps), axis=axis, stride=stride).data
+            want = sep_conv1d_oracle(x, taps, axis, stride)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_stride1_preserves_extent(self, rng):
@@ -334,14 +336,8 @@ class TestSepConv1d:
         """Symmetric padding keeps an averaging filter exact at borders."""
         x = Tensor(np.full((1, 1, 4, 4), 3.0))
         taps = Tensor(np.full(3, 1.0 / 3.0))
-        out = sep_conv1d(x, taps, axis=3, stride=1, pad_mode="symmetric")
+        out = sep_conv1d(x, taps, axis=3, stride=1)
         np.testing.assert_allclose(out.data, np.full((1, 1, 4, 4), 3.0), rtol=1e-6)
-
-    def test_zero_padding_dims_borders(self):
-        x = Tensor(np.full((1, 1, 1, 4), 3.0))
-        taps = Tensor(np.full(3, 1.0 / 3.0))
-        out = sep_conv1d(x, taps, axis=3, stride=1, pad_mode="zero").data
-        np.testing.assert_allclose(out[0, 0, 0], [2.0, 3.0, 3.0, 2.0], rtol=1e-6)
 
     def test_taps_shared_across_channels(self, rng):
         """Filtering a 2-channel map equals filtering each channel alone."""
@@ -364,12 +360,11 @@ class TestSepConv1d:
             sep_conv1d(x, Tensor(np.ones(3)), axis=2, stride=3)
 
 
-def bank_oracle(x, bank, axes, stride, rounds, bands, pad_mode):
+def bank_oracle(x, bank, axes, stride, rounds, bands):
     """Each band as a sum of compositions of scipy correlations, one per pass."""
-    mode = "reflect" if pad_mode == "symmetric" else "constant"
 
     def filt(a, taps, axis):
-        full = correlate1d(a, taps, axis=axis, mode=mode, cval=0.0, output=np.float64)
+        full = correlate1d(a, taps, axis=axis, mode="reflect", output=np.float64)
         sl = [slice(None)] * a.ndim
         sl[axis] = slice(0, None, stride)
         return full[tuple(sl)]
@@ -392,17 +387,18 @@ EVERY_PAIR = [[[p]] for p in itertools.product(range(2), repeat=2)]  # one band 
 
 
 class TestSepConv1dBank:
+    # pad_mode: symmetric, the only mode; the column keeps the case ids
     @pytest.mark.parametrize("lengths,axes,stride,rounds,bands,pad_mode", [
         ((3, 5), (3, 2), 1, 1, None, "symmetric"),  # the four stride-1 bands
         ((3, 5), (3, 2), 2, 1, None, "symmetric"),  # decimating extraction
         ((3, 5), (3, 2), 1, 2, None, "symmetric"),  # modulation context
         ((3, 5), (3, 2), 2, 1, PAIRS, "symmetric"),  # pooling pair fusion
-        ((3, 5), (3, 2), 2, 2, PAIRS, "zero"),
-        ((3, 5, 7), (2, 3), 1, 1, None, "zero"),  # three filters, nine bands
+        ((3, 5), (3, 2), 2, 2, PAIRS, "symmetric"),
+        ((3, 5, 7), (2, 3), 1, 1, None, "symmetric"),  # three filters, nine bands
         ((3, 5, 7), (3, 2), 2, 1, (((2, 0), (0, 2), (1, 1)), ((2, 2),)), "symmetric"),
         ((5,), (2, 2, 3), 2, 1, None, "symmetric"),  # one filter, a repeated axis
         # filter 0 of the second pass reads parents 0, 1 and 3: not a strided slice
-        ((3, 5, 7, 3), (3, 2), 1, 1, (((0, 0),), ((1, 0),), ((3, 0),), ((2, 1),)), "zero"),
+        ((3, 5, 7, 3), (3, 2), 1, 1, (((0, 0),), ((1, 0),), ((3, 0),), ((2, 1),)), "symmetric"),
     ])
     def test_matches_correlate1d_compositions(self, lengths, axes, stride, rounds, bands,
                                               pad_mode):
@@ -411,10 +407,10 @@ class TestSepConv1dBank:
             x = gen.normal(size=(2, 3, 16, 12))
             bank = [gen.normal(size=k) for k in lengths]
             got = sep_conv1d(Tensor(x), [Tensor(b) for b in bank], axis=axes, stride=stride,
-                             pad_mode=pad_mode, rounds=rounds, bands=bands).data
+                             rounds=rounds, bands=bands).data
         every = tuple(((p,) for p in itertools.product(range(len(lengths)),
                                                         repeat=len(axes))))
-        want = bank_oracle(x, bank, axes, stride, rounds, bands or every, pad_mode)
+        want = bank_oracle(x, bank, axes, stride, rounds, bands or every)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -462,6 +458,63 @@ class TestSepConv1dBank:
         with pytest.raises(ShapeError, match="taps"):
             sep_conv1d(x, [], axis=3)
 
+
+def chain_bank(h, bank, axes, stride, rounds, bands):
+    """The bank as the chain it stands for: single-filter calls in record order
+    (the first round level by level in lexicographic order, then each later
+    round path by path), each band's sum as a fold of adds, then a concat."""
+    every = tuple((p,) for p in itertools.product(range(len(bank)), repeat=len(axes)))
+    bands = bands or every
+    paths = sorted({p * rounds for band in bands for p in band})
+    node = {(): h}
+    for n in range(1, len(axes) + 1):
+        for q in sorted({p[:n] for p in paths}):
+            node[q] = sep_conv1d(node[q[:-1]], bank[q[-1]], axis=axes[n - 1], stride=stride)
+    for p in paths:
+        for n in range(len(axes) + 1, len(p) + 1):
+            node[p[:n]] = sep_conv1d(node[p[: n - 1]], bank[p[n - 1]],
+                                     axis=axes[(n - 1) % len(axes)], stride=stride)
+    outs = [functools.reduce(add, [node[p * rounds] for p in band]) for band in bands]
+    return outs[0] if len(outs) == 1 else concat(outs, axis=1)
+
+
+class TestBankGradientsEqualChain:
+    """Gradients, not just values, equal the chain's bit for bit when the band
+    input and the taps have other uses: the tape then sums the bank's
+    per-node input and tap gradients with those uses, in the chain's order."""
+
+    @pytest.mark.parametrize("stride,rounds,bands", [
+        (2, 1, None),  # four bands, decimating
+        (1, 2, None),  # the modulation context
+        (1, 1, PAIRS),
+        (2, 1, PAIRS),
+        (2, 1, (((1, 0),),)),  # one band
+        (2, 1, (((0, 0),), ((0, 0), (1, 1)), ((0, 0), (0, 1)))),  # a leaf read by three bands
+    ])
+    def test_float32_step(self, stride, rounds, bands):
+        def step(bank_call):
+            gen = np.random.default_rng(7)
+            x = Tensor(gen.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
+            low = Tensor(gen.normal(size=3).astype(np.float32), requires_grad=True)
+            high = Tensor(gen.normal(size=5).astype(np.float32), requires_grad=True)
+            with Tape() as tape:
+                h = gelu(x)  # the band input, also read by the mul below
+                first = bank_call(h, (low, high), (3, 2), stride, rounds, bands)
+                other = mul(h, Tensor(gen.normal(size=h.shape).astype(np.float32)))
+                second = bank_call(h, (high, low), (2, 3), stride, rounds, bands)
+                terms = [reduce_sum(mul(t, Tensor(gen.normal(size=t.shape).astype(np.float32))))
+                         for t in (first, other, second)]
+                loss = functools.reduce(add, terms)
+            backward(loss, tape)
+            return loss.data, x.grad, low.grad, high.grad
+
+        def bank(h, taps, axes, stride, rounds, bands):
+            return sep_conv1d(h, taps, axis=axes, stride=stride, rounds=rounds, bands=bands)
+
+        got, want = step(bank), step(chain_bank)
+        assert got[0].dtype == np.float32
+        for name, a, b in zip(("loss", "x", "low", "high"), got, want):
+            assert np.array_equal(a, b), name
 
 def test_desk_step_calls_no_einsum(monkeypatch):
     """The kernels issue their matmuls directly: no per-call einsum planning on the hot path."""
