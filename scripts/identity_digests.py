@@ -1,10 +1,13 @@
 """Digests of the files fixed-seed training runs write, for byte-identity checks.
 
-Generates a small synthetic set, runs four short `waveray train` invocations
+Generates a small synthetic set, runs five short `waveray train` invocations
 on it, and prints one ``<blake2b-64>  <run>/<file>`` line per written
 ``config.txt``, checkpoint and ``origins.csv``.  ``metrics.csv`` is left out,
-because its throughput column varies from run to run.  A change that claims
-no behaviour change should leave this output unchanged:
+because its throughput column varies from run to run.  It then digests every
+file ``export-maps --layer 2`` writes for the shared-field run, and the
+stdout of ``param-count --table1 --rays 3 --classes 10`` plus ``eval`` of the
+rays-3 run, with eval's ``images_per_second`` column dropped.  A change that
+claims no behaviour change should leave this output unchanged:
 
     python3 scripts/identity_digests.py > after.txt   # and diff with the parent's
 
@@ -29,15 +32,24 @@ RUNS = {
     "rays3-batch1": ["--rays", "3", "--batch-size", "1", "--epochs", "3", "--seed", "5"],
     "rays3-double": ["--rays", "3", "--epochs", "2", "--batch-size", "16", "--seed", "5",
                      "--set", "precision=double", "--checkpoint-every", "1"],
+    "rays3-shared": ["--rays", "3", "--epochs", "2", "--batch-size", "16", "--seed", "5",
+                     "--set", "share_ray_fields=true"],
 }
 
 
-def run(argv: list) -> None:
-    log = io.StringIO()
-    with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+def run(argv: list) -> str:
+    """Run one waveray command in process and return its stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = waveray(argv)
     if code != 0:
-        raise SystemExit(f"waveray {' '.join(argv)} exited {code}:\n{log.getvalue()}")
+        raise SystemExit(f"waveray {' '.join(argv)} exited {code}:\n{out.getvalue()}"
+                         f"{err.getvalue()}")
+    return out.getvalue()
+
+
+def digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 def main() -> None:
@@ -48,10 +60,20 @@ def main() -> None:
         for name, flags in RUNS.items():
             run(["train", "--data", str(data), "--out", str(root / name), *flags])
             for path in sorted((root / name).iterdir()):
-                if path.name == "metrics.csv":
-                    continue
-                digest = hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
-                print(f"{digest}  {name}/{path.name}")
+                if path.name != "metrics.csv":
+                    print(f"{digest(path.read_bytes())}  {name}/{path.name}")
+        maps = root / "maps"
+        run(["export-maps", "--checkpoint", str(root / "rays3-shared" / "checkpoint_final.wrnc"),
+             "--image", str(data / "images" / "img_00000.ppm"), "--out", str(maps),
+             "--layer", "2"])
+        for path in sorted(maps.iterdir()):
+            print(f"{digest(path.read_bytes())}  maps/{path.name}")
+        counts = run(["param-count", "--table1", "--rays", "3", "--classes", "10"])
+        evaluated = run(["eval", "--checkpoint", str(root / "rays3" / "checkpoint_final.wrnc"),
+                         "--data", str(data)])
+        # the last eval column is throughput, which varies from run to run
+        evaluated = "".join(line.rsplit(",", 1)[0] + "\n" for line in evaluated.splitlines())
+        print(f"{digest((counts + evaluated).encode())}  stdout/param-count+eval")
 
 
 if __name__ == "__main__":

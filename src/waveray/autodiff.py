@@ -5,20 +5,18 @@ every differentiable operation appends one node (inputs, output, backward
 rule) to it.  Forward execution order is already a topological order of
 the data flow, so :func:`backward` walks the node list in reverse exactly
 once, pushing gradients from the loss towards every leaf that wants them.
-Gradients accumulate; they are never overwritten, so calling backward
-twice without clearing doubles the stored gradients.
+One rule accumulates gradients, for intermediates and leaves alike: a
+value's first gradient is stored as it is and later ones are added to it.
+Nothing writes into a stored gradient in place, and calling backward twice
+without clearing doubles the stored gradients.
 
 A global precision switch selects float32 (training) or float64 (gradient
 checking) for newly created leaf tensors.  Operations inherit the dtype of
 their inputs, so a graph built from double leaves stays double end to end.
-
-The tape stack is thread-local: independent model replicas may run forward
-and backward concurrently as long as they do not share a tape.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,15 +35,7 @@ _DTYPES = {"single": np.float32, "double": np.float64}
 _PRECISION = "single"
 _CHECK_FINITE = False
 
-_local = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_local, "tapes", None)
-    if stack is None:
-        stack = []
-        _local.tapes = stack
-    return stack
+_TAPES: list = []  # active tapes, innermost last
 
 
 def set_precision(mode: str) -> None:
@@ -138,27 +128,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # Small amount of operator sugar; layer code mostly calls the op
-    # functions directly, but scalar arithmetic reads better infix.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class Module:
     """Base of every layer: names its parameters by walking its attributes.
@@ -227,13 +196,12 @@ class Tape:
         self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if stack and stack[-1] is self:
-            stack.pop()
+        if _TAPES and _TAPES[-1] is self:
+            _TAPES.pop()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -244,8 +212,7 @@ class Tape:
 
 
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -272,9 +239,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 acc = grads.get(id(t))
                 grads[id(t)] = gi if acc is None else acc + gi
             else:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad = t.grad + gi
+                t.grad = gi if t.grad is None else t.grad + gi
 
 
 def _as_tensor(x) -> Tensor:
@@ -467,6 +432,13 @@ def _axis_tuple(axis, ndim):
     return tuple(_normalize_axis(int(a), ndim) for a in axis)
 
 
+def _spread(g: np.ndarray, ax, keepdims: bool, in_shape: tuple) -> np.ndarray:
+    """Broadcast a reduction's output gradient back over the reduced axes."""
+    if ax is not None and not keepdims:
+        g = np.expand_dims(g, sorted(ax))
+    return np.broadcast_to(g, in_shape)
+
+
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     ax = _axis_tuple(axis, x.ndim)
@@ -474,11 +446,7 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = x.shape
 
     def bw(g):
-        gg = g
-        if ax is not None and not keepdims:
-            for a in sorted(ax):
-                gg = np.expand_dims(gg, a)
-        return (np.broadcast_to(gg, in_shape),)
+        return (_spread(g, ax, keepdims, in_shape),)
 
     return _record_op(out, (x,), bw)
 
@@ -491,11 +459,7 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     count = x.size if ax is None else int(np.prod([in_shape[a] for a in ax]))
 
     def bw(g):
-        gg = g
-        if ax is not None and not keepdims:
-            for a in sorted(ax):
-                gg = np.expand_dims(gg, a)
-        return (np.broadcast_to(gg, in_shape) / count,)
+        return (_spread(g, ax, keepdims, in_shape) / count,)
 
     return _record_op(out, (x,), bw)
 

@@ -232,38 +232,37 @@ class FeaturePyramid:
 
 
 class _RefinementStage(Module):
-    def __init__(self, cin: int, cout: int, cfg: BackboneConfig, rng, n_ray_layers: int,
+    def __init__(self, cin: int, cout: int, cfg: BackboneConfig, rng, with_rays: bool,
                  n_origins: int, shared_field: RayField, last: bool):
         self.blocks = [
             ModulationBlock(cin, rng, cfg.bottleneck_factor) for _ in range(cfg.blocks_per_stage)
         ]
         self.rays = [
             RayLayer(cin, n_origins=n_origins, rng=rng, field=shared_field)
-            for _ in range(n_ray_layers)
+            for _ in range(cfg.ray_layers_per_stage if with_rays else 0)
         ]
         self.pool = WavePool(cin, cout, rng, stride=1 if last else 2)
 
 
 class Backbone(Module):
-    """Stem, extraction and refinement composed into one feature pyramid."""
+    """Stem, extraction and refinement composed into one feature pyramid.
 
-    def __init__(self, cfg: BackboneConfig, rng, ray_layer_counts=None, n_origins: int = 12,
+    Under the model's ray budget ``rays``, stage ``i`` gets
+    ``cfg.ray_layers_per_stage`` ray layers when ``i < min(rays, 2)``; later
+    stages never carry any."""
+
+    def __init__(self, cfg: BackboneConfig, rng, rays: int = 0, n_origins: int = 12,
                  shared_field: RayField = None):
         cfg.validate()
         self.cfg = cfg
-        counts = list(ray_layer_counts or [0] * cfg.refinement_stages)
-        if len(counts) != cfg.refinement_stages:
-            raise ConfigError(
-                f"got {len(counts)} ray layer counts for {cfg.refinement_stages} stages"
-            )
         self.stem = Stem(cfg.stem_channels, rng)
         ec = tuple(cfg.extraction_channels)
         self.extracts = [ExtractStage(ec[0], ec[1], rng), ExtractStage(ec[1], ec[2], rng)]
         rc = tuple(cfg.refinement_channels)
         last = cfg.refinement_stages - 1
         self.stages = [
-            _RefinementStage(rc[i], rc[i + 1], cfg, rng, counts[i], n_origins, shared_field,
-                             last=(i == last))
+            _RefinementStage(rc[i], rc[i + 1], cfg, rng, i < min(rays, 2), n_origins,
+                             shared_field, last=(i == last))
             for i in range(cfg.refinement_stages)
         ]
 

@@ -159,12 +159,6 @@ class _Reader:
         return np.frombuffer(self.blob, dtype, count, start).reshape(shape).copy()
 
 
-def _normalize(value):
-    if isinstance(value, (list, tuple)):
-        return [_normalize(v) for v in value]
-    return value
-
-
 def _config_diff(expected: dict, found: dict, prefix: str = "") -> list[str]:
     keys = sorted(set(expected) | set(found))
     diffs = []
@@ -174,7 +168,7 @@ def _config_diff(expected: dict, found: dict, prefix: str = "") -> list[str]:
             diffs.append(label)
         elif isinstance(expected[k], dict) and isinstance(found[k], dict):
             diffs.extend(_config_diff(expected[k], found[k], prefix=f"{label}."))
-        elif _normalize(expected[k]) != _normalize(found[k]):
+        elif expected[k] != found[k]:
             diffs.append(label)
     return diffs
 
@@ -232,9 +226,13 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
 
     model_config = config.get("model", {})
     if expected_model_config is not None:
-        diffs = _config_diff(expected_model_config, model_config)
+        # compared as stored: the JSON round trip turns tuples into lists
+        diffs = _config_diff(json.loads(json.dumps(expected_model_config)), model_config)
         if diffs:
             raise CheckpointError(f"{path}: config mismatch in fields: {', '.join(diffs)}")
+    precision = config.get("precision", "single")
+    if precision not in ("single", "double"):
+        raise CheckpointError(f"{path}: precision must be 'single' or 'double', got {precision!r}")
     return CheckpointState(
         model_config=model_config,
         params=params,
@@ -243,6 +241,6 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
         opt_step=config.get("opt_step", 0),
         epoch=config.get("epoch", 0),
         rng_state=config.get("rng_state"),
-        precision=config.get("precision", "single"),
+        precision=precision,
         extra=config.get("extra", {}),
     )

@@ -34,7 +34,7 @@ from .data import (
     synth_generate,
     write_origin_csv,
 )
-from .errors import ConfigError, DivergenceError, WaverayError
+from .errors import CheckpointError, ConfigError, DivergenceError, WaverayError
 from .gradcheck import DEFAULT_TOL, run_scope
 from .model import ModelConfig, WaveletClassifier, desk_config, param_count, table1_config
 from .train import METRICS_HEADER, TrainConfig, evaluate, origin_rows, train
@@ -161,8 +161,13 @@ def cmd_train(args) -> int:
 def _checkpoint_model(path):
     """Rebuild a checkpoint's model, keeping its stored precision active while in use."""
     state = load_checkpoint(path)
+    try:
+        config = ModelConfig.from_dict(state.model_config)
+        config.validate()  # a stored value of the wrong type fails here as a TypeError
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad stored model config: {type(e).__name__}: {e}") from None
     with precision(state.precision):
-        model = WaveletClassifier(ModelConfig.from_dict(state.model_config), seed=0)
+        model = WaveletClassifier(config, seed=0)
         model.load_state(state.params)
         yield model, state
 
@@ -232,14 +237,8 @@ def cmd_param_count(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        classes=args.classes,
-        per_class=args.per_class,
-        extent=args.extent,
-        placement=args.placement,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    set_flags = {f.name: getattr(args, f.name) for f in fields(SyntheticSpec)}
+    spec = SyntheticSpec(**{k: v for k, v in set_flags.items() if v is not None})
     manifest = synth_generate(spec, args.out)
     print(manifest)
     return 0
@@ -297,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic shape dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-class", dest="per_class", type=int, default=64)
-    p.add_argument("--extent", type=int, default=32)
-    p.add_argument("--placement", choices=["center", "uniform"], default="center")
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--per-class", dest="per_class", type=int)
+    p.add_argument("--extent", type=int)
+    p.add_argument("--placement", choices=["center", "uniform"])
+    p.add_argument("--noise", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_synth)
 
     return parser

@@ -288,6 +288,8 @@ class SyntheticSpec:
             raise ConfigError(f"placement must be 'center' or 'uniform', got {self.placement!r}")
         if not 0.0 <= self.noise <= 0.5:
             raise ConfigError(f"noise must lie in [0, 0.5], got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _sample_center(rng, extent: int, margin: float, placement: str) -> tuple[float, float]:

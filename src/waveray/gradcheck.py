@@ -373,6 +373,8 @@ def run_scope(scope: str, seed: int = 0, tol: float = DEFAULT_TOL,
     """Run every probe of a scope; returns (probe, input, worst error) rows."""
     if scope not in _SCOPES:
         raise ConfigError(f"scope must be one of {sorted(_SCOPES)}, got {scope!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rows = []
     for name, builder in _SCOPES[scope]:
         report = finite_diff_check(builder, seed=seed, tol=tol, n_samples=n_samples)

@@ -49,10 +49,7 @@ class ModelConfig:
             )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["backbone"]["extraction_channels"] = list(self.backbone.extraction_channels)
-        d["backbone"]["refinement_channels"] = list(self.backbone.refinement_channels)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -64,20 +61,9 @@ class ModelConfig:
 
 
 def table1_config(rays: int = 0, classes: int = 1000) -> ModelConfig:
-    """The full-scale configuration: 224 input, 4096-wide deepest stage."""
-    return ModelConfig(
-        backbone=BackboneConfig(
-            stem_channels=32,
-            extraction_channels=(32, 48, 64),
-            refinement_channels=(64, 512, 4096),
-            blocks_per_stage=6,
-            refinement_stages=2,
-        ),
-        rays=rays,
-        d_model=256,
-        classes=classes,
-        input_extent=224,
-    )
+    """The full-scale configuration, which is the dataclass defaults: 224
+    input, 4096-wide deepest stage."""
+    return ModelConfig(rays=rays, classes=classes)
 
 
 def desk_config(rays: int = 0, classes: int = 3, input_extent: int = 32) -> ModelConfig:
@@ -137,12 +123,8 @@ class WaveletClassifier(Module):
         config.validate()
         self.config = config
         rng = np.random.default_rng(seed)
-        per_stage = config.backbone.ray_layers_per_stage
-        counts = [0] * config.backbone.refinement_stages
-        for i in range(min(config.rays, 2, config.backbone.refinement_stages)):
-            counts[i] = per_stage
         shared = RayField(config.n_origins) if (config.share_ray_fields and config.rays) else None
-        self.backbone = Backbone(config.backbone, rng, ray_layer_counts=counts,
+        self.backbone = Backbone(config.backbone, rng, rays=config.rays,
                                  n_origins=config.n_origins, shared_field=shared)
         deep_c = config.backbone.refinement_channels[-1]
         if config.rays >= 3:

@@ -1,4 +1,8 @@
-"""AdamW with decoupled weight decay, and a one-cycle cosine schedule."""
+"""AdamW with decoupled weight decay, and a one-cycle cosine schedule.
+
+Adam's moment decays and denominator guard are fixed constants, which
+checkpoints do not store.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +13,8 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError, GraphError, ShapeError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class OptimizerState:
@@ -18,9 +24,6 @@ class OptimizerState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
@@ -32,9 +35,8 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -49,22 +51,21 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
             state.v[name] = v
         else:
             v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         p.data = p.data * (1.0 - lr * weight_decay) - lr * update
 
 
 class AdamW:
     """Object wrapper holding the parameter dict and moment state."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.05):
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.05):
         self.params = params
         self.weight_decay = weight_decay
-        self.state = OptimizerState(beta1=beta1, beta2=beta2, eps=eps)
+        self.state = OptimizerState()
 
     def step(self, lr: float) -> None:
         adamw_step(self.params, self.state, lr, self.weight_decay)

@@ -105,16 +105,16 @@ def psf(dist, sigma) -> Tensor:
 
 
 class RayField(Module):
-    """The learnable state of one ray bank: origins, widths, decays, gain."""
+    """The learnable state of one ray bank: origins, widths, decays, gain.
 
-    def __init__(self, n_origins: int = 12, sigma0: float = 1.0, alpha0: float = 1.0,
-                 beta0: float = 1.0):
-        if sigma0 <= 0 or alpha0 <= 0:
-            raise ConfigError("sigma0 and alpha0 must be positive")
+    Every bank starts alike: origins evenly spaced on the unit circle, and
+    widths, decays and gain all 1 (stored logs 0)."""
+
+    def __init__(self, n_origins: int = 12):
         self.origins = Tensor(init_origins(n_origins), requires_grad=True)
-        self.log_sigma = Tensor(np.full(n_origins, np.log(sigma0)), requires_grad=True)
-        self.log_alpha = Tensor(np.full(n_origins, np.log(alpha0)), requires_grad=True)
-        self.beta = Tensor(np.array([beta0]), requires_grad=True)
+        self.log_sigma = Tensor(np.zeros(n_origins), requires_grad=True)
+        self.log_alpha = Tensor(np.zeros(n_origins), requires_grad=True)
+        self.beta = Tensor(np.ones(1), requires_grad=True)
 
     @property
     def n(self) -> int:

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ConfigError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
         if self.precision not in ("single", "double"):
             raise ConfigError(f"precision must be 'single' or 'double', got {self.precision!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

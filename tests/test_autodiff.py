@@ -145,11 +145,6 @@ class TestElementwise:
         (g,) = grads_of(lambda: ad.reduce_sum(ad.reciprocal(x)), x)
         np.testing.assert_allclose(g, [-0.25], rtol=1e-6)
 
-    def test_operator_sugar(self):
-        x = Tensor(np.array([1.0, 2.0]))
-        y = (2.0 * x + 1.0) - x
-        np.testing.assert_allclose(y.data, [2.0, 3.0], rtol=1e-6)
-
 
 class TestShapeOps:
     def test_reshape_round_trip_grad(self, rng):

@@ -334,15 +334,11 @@ class TestBackbone:
         assert pyramid.deepest.shape == (2, 16, 2, 2)
 
     def test_ray_layer_placement(self, rng):
-        bb = Backbone(small_cfg(), rng, ray_layer_counts=[1, 1], n_origins=3)
+        bb = Backbone(small_cfg(), rng, rays=2, n_origins=3)
         _, maps = bb.forward(Tensor(rng.normal(size=(1, 3, 32, 32))))
         assert [m.extents for m in maps] == [(4, 4), (2, 2)]
 
-    def test_ray_count_mismatch(self, rng):
-        with pytest.raises(ConfigError):
-            Backbone(small_cfg(), rng, ray_layer_counts=[1])
-
     def test_param_names_unique(self, rng):
-        bb = Backbone(small_cfg(), rng, ray_layer_counts=[1, 0], n_origins=3)
+        bb = Backbone(small_cfg(), rng, rays=1, n_origins=3)
         names = [n for n, _ in bb.named_params()]
         assert len(names) == len(set(names))

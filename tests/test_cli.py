@@ -106,6 +106,10 @@ class TestSynth:
     def test_rejects_too_many_classes(self, tmp_path):
         assert run_cli("synth", "--out", tmp_path, "--classes", 9) == 1
 
+    def test_negative_seed_is_an_error_line(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", tmp_path, "--seed", -1) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTrain:
     def test_writes_artifacts_and_metrics(self, trained_dir, capsys):
@@ -173,6 +177,8 @@ class TestTrain:
         (("--weight-decay", -5), "weight_decay"),
         (("--peak-lr", 0), "peak_lr"),
         (("--set", "warmup_fraction=2"), "warmup_fraction"),
+        (("--seed", -1), "seed"),
+        (("--set", "seed=-1"), "seed"),
     ])
     def test_bad_loop_sizes_are_config_errors(self, synth_dir, tmp_path, capsys, flags, match):
         code = run_cli("train", "--data", synth_dir, "--out", tmp_path / "o", "--epochs", 1,
@@ -282,6 +288,22 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", p, "--data", synth_dir) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("mutate", [
+        lambda s: setattr(s, "precision", "half"),
+        lambda s: s.model_config.update(turbo=True),
+        lambda s: s.model_config["backbone"].update(extraction_channels=5),
+        lambda s: s.model_config.update(rays="1"),
+    ], ids=["precision", "unknown-key", "scalar-channels", "string-rays"])
+    def test_bad_stored_config_is_an_error_line(self, trained_dir, synth_dir, tmp_path, capsys,
+                                                mutate):
+        # a valid digest over a bad config: the file must still be refused cleanly
+        state = load_checkpoint(trained_dir / "checkpoint_final.wrnc")
+        mutate(state)
+        p = tmp_path / "bad.wrnc"
+        save_checkpoint(p, state)
+        assert run_cli("eval", "--checkpoint", p, "--data", synth_dir) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGradcheckCommand:
     def test_op_scope_passes(self, capsys):
@@ -289,6 +311,10 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "worst relative error" in out
         assert "FAIL" not in out
+
+    def test_negative_seed_is_an_error_line(self, capsys):
+        assert run_cli("gradcheck", "--scope", "op", "--seed", -1) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_impossible_tolerance_exits_three(self, capsys):
         assert run_cli("gradcheck", "--scope", "op", "--tol", "1e-15") == 3

@@ -122,6 +122,17 @@ class TestRayRouting:
             tokens, _ = model.encoder.forward(aux["pyramid"].deepest)
             assert tokens.shape == (1, 196, 256)
 
+    def test_only_the_first_two_stages_get_ray_layers(self, rng):
+        cfg = desk_config(rays=3, input_extent=64)
+        cfg.backbone.refinement_channels = (16, 32, 64, 128)
+        cfg.backbone.refinement_stages = 3
+        model = WaveletClassifier(cfg, seed=0)
+        _, aux = model.forward_with_aux(Tensor(rng.normal(size=(1, 3, 64, 64))))
+        assert len(aux["maps"]) == 3  # stage 0, stage 1 and the encoder
+        names = list(model.parameters())
+        assert any(n.startswith("stage1.ray") for n in names)
+        assert not any(n.startswith("stage2.ray") for n in names)
+
     def test_head_input_switches_at_full_budget(self):
         assert WaveletClassifier(desk_config(rays=2), seed=0).head.w.shape == (64, 3)
         assert WaveletClassifier(desk_config(rays=3), seed=0).head.w.shape == (32, 3)

@@ -225,7 +225,7 @@ class TestConv2dOracle:
             wsum = Tensor(gen.normal(size=(1, 3, 5, 5)))
             with Tape() as tape:
                 out = conv2d(x, k, padding=(1, 1))
-                loss = (out * wsum)
+                loss = mul(out, wsum)
                 from waveray.autodiff import reduce_sum
 
                 loss = reduce_sum(loss)

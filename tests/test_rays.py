@@ -135,7 +135,9 @@ class TestAttenuation:
     def test_flat_logits_give_uniform_map(self):
         """Tiny alpha and huge sigma flatten the logits, so the softmax
         tends to uniform."""
-        field = RayField(3, sigma0=1e4, alpha0=1e-6)
+        field = RayField(3)
+        field.log_sigma.data[:] = np.log(1e4)
+        field.log_alpha.data[:] = np.log(1e-6)
         d = distance_matrix(field.origins, Tensor(pixel_grid(4, 4).coords))
         amap = attenuation(d, field, extents=(4, 4))
         np.testing.assert_allclose(amap.per_origin.data, np.full((3, 16), 1.0 / 16), atol=1e-6)
