@@ -6,8 +6,12 @@ on it, and prints one ``<blake2b-64>  <run>/<file>`` line per written
 because its throughput column varies from run to run.  It then digests every
 file ``export-maps --layer 2`` writes for the shared-field run, and the
 stdout of ``param-count --table1 --rays 3 --classes 10`` plus ``eval`` of the
-rays-3 run, with eval's ``images_per_second`` column dropped.  A change that
-claims no behaviour change should leave this output unchanged:
+rays-3 run, with eval's ``images_per_second`` column dropped.  Two lines
+digest the batch-1 logits of every image of the set under the rays-3 and the
+shared-field final checkpoints, where repeated untaped forwards reuse the ray
+maps, and one digests the stdout of ``gradcheck --scope block --seed 0``,
+where finite differences edit the field arrays in place between forwards.
+A change that claims no behaviour change should leave this output unchanged:
 
     python3 scripts/identity_digests.py > after.txt   # and diff with the parent's
 
@@ -24,7 +28,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from waveray.autodiff import Tensor  # noqa: E402
+from waveray.checkpoint import load_checkpoint  # noqa: E402
 from waveray.cli import main as waveray  # noqa: E402
+from waveray.data import load_dataset  # noqa: E402
+from waveray.model import ModelConfig, WaveletClassifier  # noqa: E402
 
 RUNS = {
     "rays3": ["--rays", "3", "--epochs", "6", "--batch-size", "16", "--seed", "5"],
@@ -52,6 +60,17 @@ def digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
+def logits_digest(checkpoint: Path, data: Path) -> str:
+    """Digest of the logits of one-image forwards over the whole set, in order."""
+    state = load_checkpoint(checkpoint)
+    model = WaveletClassifier(ModelConfig.from_dict(state.model_config), seed=0)
+    model.load_state(state.params)
+    h = hashlib.blake2b(digest_size=8)
+    for image in load_dataset(data, classes=model.config.classes).images:
+        h.update(model.forward(Tensor(image[None])).data.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -74,6 +93,11 @@ def main() -> None:
         # the last eval column is throughput, which varies from run to run
         evaluated = "".join(line.rsplit(",", 1)[0] + "\n" for line in evaluated.splitlines())
         print(f"{digest((counts + evaluated).encode())}  stdout/param-count+eval")
+        for name in ("rays3", "rays3-shared"):
+            checkpoint = root / name / "checkpoint_final.wrnc"
+            print(f"{logits_digest(checkpoint, data)}  logits/{name}")
+        gradcheck = run(["gradcheck", "--scope", "block", "--seed", "0"])
+        print(f"{digest(gradcheck.encode())}  stdout/gradcheck-block")
 
 
 if __name__ == "__main__":

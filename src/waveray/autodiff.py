@@ -270,9 +270,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor) -> None:
+def _binary(ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """``ufunc`` of two operands' data; numpy's broadcast failure becomes a BroadcastError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise BroadcastError(
             f"shapes {a.shape} and {b.shape} are not broadcast-compatible"
@@ -291,8 +292,7 @@ def _normalize_axis(axis: int, ndim: int) -> int:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b)
-    out = a.data + b.data
+    out = _binary(np.add, a, b)
 
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -302,8 +302,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b)
-    out = a.data - b.data
+    out = _binary(np.subtract, a, b)
 
     def bw(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -313,9 +312,8 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a, b)
     ad, bd = a.data, b.data
-    out = ad * bd
+    out = _binary(np.multiply, a, b)
 
     def bw(g):
         return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
@@ -384,10 +382,9 @@ def transpose(x, axes) -> Tensor:
     if sorted(axes) != list(range(x.ndim)):
         raise InvalidAxisError(f"axes {axes} is not a permutation of 0..{x.ndim - 1}")
     out = np.transpose(x.data, axes)
-    inverse = tuple(np.argsort(axes))
 
     def bw(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, np.argsort(axes)),)
 
     return _record_op(out, (x,), bw)
 
@@ -406,12 +403,11 @@ def concat(tensors, axis: int) -> Tensor:
         raise ShapeError(
             f"concat extents differ off-axis: {[t.shape for t in tensors]}"
         ) from None
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def bw(g):
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
         pieces = []
-        for i in range(len(sizes)):
+        for i in range(len(tensors)):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offsets[i], offsets[i + 1])
             pieces.append(g[tuple(sl)])
@@ -456,9 +452,9 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     ax = _axis_tuple(axis, x.ndim)
     out = x.data.mean(axis=ax, keepdims=keepdims)
     in_shape = x.shape
-    count = x.size if ax is None else int(np.prod([in_shape[a] for a in ax]))
 
     def bw(g):
+        count = x.size if ax is None else int(np.prod([in_shape[a] for a in ax]))
         return (_spread(g, ax, keepdims, in_shape) / count,)
 
     return _record_op(out, (x,), bw)
@@ -529,9 +525,12 @@ def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"gain/shift must have shape ({c},), got {gain.shape} and {shift.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
+    # np.add.reduce / c is what ndarray.mean computes, minus its Python
+    # wrapper: mean divides by an intp count in float64 and rounds, which
+    # for a float32 quotient gives the same bits as dividing in float32.
+    mu = np.add.reduce(x.data, axis=1, keepdims=True) / c
     centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / c
     invstd = 1.0 / np.sqrt(var + eps)
     xhat = centered * invstd
     gcol = gain.data.reshape(1, c, 1, 1)

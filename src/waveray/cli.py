@@ -23,6 +23,8 @@ from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .autodiff import Tensor, precision
 from .backbone import BackboneConfig
 from .checkpoint import load_checkpoint
@@ -34,7 +36,7 @@ from .data import (
     synth_generate,
     write_origin_csv,
 )
-from .errors import CheckpointError, ConfigError, DivergenceError, WaverayError
+from .errors import CheckpointError, ConfigError, DataError, DivergenceError, WaverayError
 from .gradcheck import DEFAULT_TOL, run_scope
 from .model import ModelConfig, WaveletClassifier, desk_config, param_count, table1_config
 from .train import METRICS_HEADER, TrainConfig, evaluate, origin_rows, train
@@ -214,6 +216,8 @@ def cmd_export_maps(args) -> int:
     if not 0 <= args.layer < len(maps):
         raise ConfigError(f"layer must lie in [0, {len(maps)}), got {args.layer}")
     amap = maps[args.layer]
+    if not (np.isfinite(amap.per_origin.data).all() and np.isfinite(amap.combined.data).all()):
+        raise DataError(f"attenuation maps of ray layer {args.layer} hold NaN or Inf")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     export_map(amap.combined_image(), out_dir / "combined.pgm")

@@ -352,11 +352,14 @@ def synth_generate(spec: SyntheticSpec, out_dir) -> Path:
 def export_map(array, path) -> None:
     """Scale a 2-D map to the full gray range and write it as PGM.
 
-    Constant maps export as mid-gray.
+    Constant maps export as mid-gray; a map holding NaN or Inf is refused,
+    since no gray level stands for it.
     """
     arr = np.asarray(getattr(array, "data", array), dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"export_map wants a 2-d map, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DataError("export_map got a map holding NaN or Inf")
     lo, hi = arr.min(), arr.max()
     if hi > lo:
         scaled = (arr - lo) / (hi - lo) * _MAXVAL

@@ -10,6 +10,13 @@ circular convolution), wrapped in a pre-normalized residual layer.
 
 Width (sigma) and decay (alpha) are stored as logs so positivity costs
 nothing; the shared gain beta is a plain scalar.
+
+A field's maps depend on its parameters and the grid extents, never on the
+image.  With no tape active, :meth:`RayField.attenuation_map` therefore
+serves them from a memo keyed on the ambient dtype and the parameters'
+values, so serving and evaluation pay for the map once per parameter update
+instead of once per forward.  Under a tape the maps are recorded as usual,
+so gradients flow to the field.
 """
 
 from __future__ import annotations
@@ -54,9 +61,6 @@ class PixelGrid:
         self.h = h
         self.w = w
         self.coords = _grid_coords(h, w)
-
-    def as_tensor(self) -> Tensor:
-        return Tensor(self.coords)
 
 
 def pixel_grid(h: int, w: int) -> PixelGrid:
@@ -115,6 +119,7 @@ class RayField(Module):
         self.log_sigma = Tensor(np.zeros(n_origins), requires_grad=True)
         self.log_alpha = Tensor(np.zeros(n_origins), requires_grad=True)
         self.beta = Tensor(np.ones(1), requires_grad=True)
+        self._maps: dict = {}  # (h, w) -> (key, per-origin, combined); see attenuation_map
 
     @property
     def n(self) -> int:
@@ -125,6 +130,38 @@ class RayField(Module):
 
     def alpha(self) -> Tensor:
         return ad.exp(self.log_alpha)
+
+    def attenuation_map(self, h: int, w: int) -> "AttenuationMap":
+        """The field's emphasis maps over an h x w pixel grid.
+
+        Under an active tape this records the grid -> distance matrix ->
+        attenuation chain, so gradients reach the field.  With no tape the
+        maps come from a memo with one entry per extent, so a field shared by
+        layers of two extents keeps both.  An entry's key is the ambient dtype
+        (the grid is cast to it) and the dtype, shape and bytes of each of the
+        four parameters: keying on values, not on array identity, makes an
+        in-place edit (as finite differences do), an optimizer step, a loaded
+        state or a precision switch miss and recompute.  A miss replaces its
+        extent's entry, so the memo stays as small as the maps themselves.
+        The stored arrays are read-only, because every hit hands the same
+        arrays out again, wrapped in fresh tensors.
+        """
+        taped = ad.active_tape() is not None
+        if not taped:
+            params = (self.origins, self.log_sigma, self.log_alpha, self.beta)
+            key = (ad.default_dtype(), *((p.dtype, p.shape, p.data.tobytes()) for p in params))
+            entry = self._maps.get((h, w))
+            if entry is not None and entry[0] == key:
+                requires = any(p.requires_grad for p in params)
+                return AttenuationMap(Tensor._from_op(entry[1], requires),
+                                      Tensor._from_op(entry[2], requires), (h, w))
+        dist = distance_matrix(self.origins, Tensor(pixel_grid(h, w).coords))
+        amap = attenuation(dist, self, extents=(h, w))
+        if not taped:
+            amap.per_origin.data.setflags(write=False)
+            amap.combined.data.setflags(write=False)
+            self._maps[(h, w)] = (key, amap.per_origin.data, amap.combined.data)
+        return amap
 
 
 class AttenuationMap:
@@ -226,9 +263,7 @@ class RayLayer(Module):
         if x.shape[1] != self.channels:
             raise ShapeError(f"ray layer built for {self.channels} channels, got {x.shape[1]}")
         h, w = x.shape[2], x.shape[3]
-        grid = pixel_grid(h, w)
-        dist = distance_matrix(self.field.origins, grid.as_tensor())
-        amap = attenuation(dist, self.field, extents=(h, w))
+        amap = self.field.attenuation_map(h, w)
         pre = self.norm1.forward(x)
         x = ad.add(x, spectral_modulate(pre, ad.reshape(amap.combined, (h, w))))
         return ad.add(x, self.mlp.forward(self.norm2.forward(x))), amap

@@ -132,9 +132,10 @@ class TestElementwise:
         # each channel bias multiplies 2*2*2 = 8 ones
         np.testing.assert_allclose(gb.ravel(), [8.0, 8.0, 8.0], rtol=1e-6)
 
-    def test_broadcast_mismatch_rejected(self):
-        with pytest.raises(BroadcastError):
-            ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))))
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul], ids=["add", "sub", "mul"])
+    def test_broadcast_mismatch_rejected(self, op):
+        with pytest.raises(BroadcastError, match=r"shapes \(2, 3\) and \(4, 3\) are not"):
+            op(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))))
 
     def test_exp_matches_numpy(self, rng):
         x = rng.normal(size=7)

@@ -11,7 +11,7 @@ from waveray.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 from waveray.cli import _checkpoint_model, build_configs, main, parse_config_file
 from waveray.data import load_dataset
 from waveray.errors import ConfigError
-from waveray.model import ModelConfig, WaveletClassifier
+from waveray.model import ModelConfig, WaveletClassifier, desk_config
 from waveray.train import evaluate
 
 
@@ -384,6 +384,19 @@ class TestExportMaps:
                        "--image", image, "--out", tmp_path / "m", "--layer", 7)
         assert code == 1
         assert "layer" in capsys.readouterr().err
+
+    def test_non_finite_field_is_an_error_line(self, synth_dir, tmp_path, capsys):
+        model = WaveletClassifier(desk_config(rays=3, classes=2))
+        params = dict(model.state_arrays())
+        params["stage0.ray0.field.origins"] = np.full((12, 2), np.nan, np.float32)
+        p = tmp_path / "nan.wrnc"
+        save_checkpoint(p, CheckpointState(model.config.to_dict(), params))
+        out = tmp_path / "m"
+        code = run_cli("export-maps", "--checkpoint", p,
+                       "--image", synth_dir / "images" / "img_00000.ppm", "--out", out)
+        assert code == 1
+        assert "NaN or Inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rayless_checkpoint_rejected(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "run0"

@@ -284,6 +284,14 @@ class TestExportHelpers:
         back = (read_image(p)[0] * 255).round().astype(int)
         np.testing.assert_array_equal(back, np.full((4, 4), 128))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_export_map_rejects_non_finite(self, bad, tmp_path):
+        arr = np.linspace(0.0, 1.0, 16).reshape(4, 4)
+        arr[1, 2] = bad
+        with pytest.raises(DataError, match="NaN or Inf"):
+            export_map(arr, tmp_path / "n.pgm")
+        assert not (tmp_path / "n.pgm").exists()
+
     def test_export_map_rejects_higher_rank(self, tmp_path):
         with pytest.raises(DataError):
             export_map(np.zeros((2, 2, 2)), tmp_path / "x.pgm")

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from waveray import rays
 from waveray.autodiff import Tape, Tensor, backward, precision
 from waveray.errors import ConfigError, DataError, ShapeError
 from waveray.model import (
@@ -15,6 +16,7 @@ from waveray.model import (
     param_count,
     table1_config,
 )
+from waveray.optim import AdamW
 
 
 class TestModelConfig:
@@ -207,6 +209,105 @@ class TestClassifier:
         backward(loss, tape)
         missing = [n for n, p in model.parameters().items() if p.grad is None]
         assert missing == []
+
+
+@pytest.fixture
+def computed_maps(monkeypatch):
+    """Counts the maps computed from scratch: the extents of every
+    ``rays.attenuation`` call, in call order."""
+    calls = []
+    original = rays.attenuation
+
+    def counted(dist, field, extents):
+        calls.append(tuple(extents))
+        return original(dist, field, extents)
+
+    monkeypatch.setattr(rays, "attenuation", counted)
+    return calls
+
+
+def _taped_step(model, x):
+    model.zero_grads()
+    with Tape() as tape:
+        loss = cross_entropy(model.forward(x), np.array([1]))
+    backward(loss, tape)
+
+
+def _assert_maps_fresh(model, x):
+    """An untaped forward's maps equal maps computed from scratch."""
+    _, aux = model.forward_with_aux(x)
+    for field, amap in zip(model.ray_fields(), aux["maps"], strict=True):
+        h, w = amap.extents
+        d = rays.distance_matrix(field.origins, Tensor(rays.pixel_grid(h, w).coords))
+        want = rays.attenuation(d, field, extents=(h, w))
+        for got, ref in ((amap.per_origin, want.per_origin), (amap.combined, want.combined)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got.data, ref.data)
+
+
+class TestRayMapMemo:
+    """Untaped forwards reuse each field's maps until a parameter value, the
+    ambient precision or the extent changes."""
+
+    def test_untaped_forwards_compute_each_map_once(self, computed_maps, rng):
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)))
+        first = model.forward(x).data
+        np.testing.assert_array_equal(model.forward(x).data, first)
+        assert computed_maps == [(4, 4), (2, 2), (2, 2)]
+
+    def test_shared_field_computes_one_map_per_extent(self, computed_maps, rng):
+        cfg = desk_config(rays=3)
+        cfg.share_ray_fields = True
+        model = WaveletClassifier(cfg, seed=0)
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)))
+        model.forward(x)
+        model.forward(x)
+        assert computed_maps == [(4, 4), (2, 2)]
+
+    def test_taped_forwards_compute_every_map(self, computed_maps, rng):
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)))
+        model.forward(x)
+        _taped_step(model, x)
+        _taped_step(model, x)
+        assert len(computed_maps) == 9
+
+    def test_load_state_recomputes(self, rng):
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)))
+        model.forward(x)
+        moved = {k: (v + 0.125).astype(v.dtype) if ".field." in k else v
+                 for k, v in model.state_arrays().items()}
+        model.load_state(moved)
+        _assert_maps_fresh(model, x)
+
+    def test_optimizer_step_recomputes(self, rng):
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)))
+        model.forward(x)
+        _taped_step(model, x)
+        AdamW(model.parameters()).step(lr=0.05)
+        _assert_maps_fresh(model, x)
+
+    def test_double_precision_forward_recomputes(self, rng):
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        x = rng.normal(size=(1, 3, 32, 32))
+        model.forward(Tensor(x))
+        with precision("double"):
+            _assert_maps_fresh(model, Tensor(x))
+        _assert_maps_fresh(model, Tensor(x))
+
+    def test_taped_step_after_untaped_forwards_gives_the_same_gradients(self, rng):
+        x = Tensor(rng.normal(size=(1, 3, 32, 32)))
+        served = WaveletClassifier(desk_config(rays=3), seed=0)
+        served.forward(x)
+        served.forward(x)
+        _taped_step(served, x)
+        fresh = WaveletClassifier(desk_config(rays=3), seed=0)
+        _taped_step(fresh, x)
+        for name, p in fresh.parameters().items():
+            assert np.array_equal(served.parameters()[name].grad, p.grad), name
 
 
 class TestParamCount:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from waveray import autodiff as ad
 from waveray.autodiff import Tape, Tensor, backward, precision
-from waveray.errors import ConfigError, ShapeError
+from waveray.errors import ConfigError, NonFiniteError, ShapeError
 from waveray.rays import (
     AttenuationMap,
     RayEncoder,
@@ -246,6 +246,80 @@ class TestRayLayer:
         backward(loss, tape)
         assert layer.field.origins.grad is not None
         assert np.abs(layer.field.origins.grad).max() > 0
+
+
+def _fresh_map(field, h, w):
+    d = distance_matrix(field.origins, Tensor(pixel_grid(h, w).coords))
+    return attenuation(d, field, extents=(h, w))
+
+
+def _assert_same_map(got, want):
+    for a, b in ((got.per_origin, want.per_origin), (got.combined, want.combined)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.data, b.data)
+
+
+class TestAttenuationMapMemo:
+    def test_untaped_map_equals_the_chain(self, rng):
+        field = _random_field(rng)
+        first, again = field.attenuation_map(4, 4), field.attenuation_map(4, 4)
+        _assert_same_map(first, _fresh_map(field, 4, 4))
+        _assert_same_map(again, _fresh_map(field, 4, 4))
+        assert again.extents == (4, 4)
+        assert again.combined.requires_grad and again.per_origin.requires_grad
+
+    @pytest.mark.parametrize("name", ["origins", "log_sigma", "log_alpha", "beta"])
+    def test_in_place_write_recomputes(self, name, rng):
+        field = _random_field(rng)
+        field.attenuation_map(4, 4)
+        arr = getattr(field, name).data
+        arr[(0,) * arr.ndim] += 0.25
+        _assert_same_map(field.attenuation_map(4, 4), _fresh_map(field, 4, 4))
+
+    def test_precision_switch_recomputes(self, rng):
+        field = _random_field(rng)
+        single = field.attenuation_map(4, 4)
+        with precision("double"):
+            double = field.attenuation_map(4, 4)
+            _assert_same_map(double, _fresh_map(field, 4, 4))
+        assert double.combined.dtype == np.float64
+        _assert_same_map(field.attenuation_map(4, 4), single)
+
+    def test_each_extent_keeps_its_own_map(self, rng):
+        field = _random_field(rng)
+        field.attenuation_map(4, 4)
+        field.attenuation_map(2, 2)
+        _assert_same_map(field.attenuation_map(4, 4), _fresh_map(field, 4, 4))
+        _assert_same_map(field.attenuation_map(2, 2), _fresh_map(field, 2, 2))
+
+    def test_returned_maps_are_read_only(self, rng):
+        field = _random_field(rng)
+        for amap in (field.attenuation_map(4, 4), field.attenuation_map(4, 4)):
+            for t in (amap.per_origin, amap.combined):
+                with pytest.raises(ValueError):
+                    t.data[0] = 0.0
+
+    def test_served_map_is_still_checked_for_finiteness(self, rng):
+        field = _random_field(rng)
+        field.beta.data[0] = np.inf
+        with np.errstate(invalid="ignore"):
+            field.attenuation_map(4, 4)
+        ad.set_check_finite(True)
+        try:
+            with pytest.raises(NonFiniteError):
+                field.attenuation_map(4, 4)
+        finally:
+            ad.set_check_finite(False)
+
+    def test_taped_map_reaches_every_field_parameter(self, rng):
+        field = _random_field(rng)
+        field.attenuation_map(4, 4)
+        w = Tensor(rng.normal(size=16))
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(field.attenuation_map(4, 4).combined, w))
+        backward(loss, tape)
+        for t in (field.origins, field.log_sigma, field.log_alpha, field.beta):
+            assert t.grad is not None and np.abs(t.grad).max() > 0
 
 
 class TestRayEncoder:
