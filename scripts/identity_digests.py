@@ -11,6 +11,9 @@ digest the batch-1 logits of every image of the set under the rays-3 and the
 shared-field final checkpoints, where repeated untaped forwards reuse the ray
 maps, and one digests the stdout of ``gradcheck --scope block --seed 0``,
 where finite differences edit the field arrays in place between forwards.
+The last two lines digest every parameter's gradient after one taped
+rays-3 desk step at batch 64, in float32 and in float64, so a change to a
+backward shows here directly, not only through the trained checkpoints.
 A change that claims no behaviour change should leave this output unchanged:
 
     python3 scripts/identity_digests.py > after.txt   # and diff with the parent's
@@ -28,11 +31,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from waveray.autodiff import Tensor  # noqa: E402
+import numpy as np  # noqa: E402
+
+from waveray.autodiff import Tape, Tensor, backward, precision  # noqa: E402
 from waveray.checkpoint import load_checkpoint  # noqa: E402
 from waveray.cli import main as waveray  # noqa: E402
 from waveray.data import load_dataset  # noqa: E402
-from waveray.model import ModelConfig, WaveletClassifier  # noqa: E402
+from waveray.model import (  # noqa: E402
+    ModelConfig,
+    WaveletClassifier,
+    cross_entropy,
+    desk_config,
+)
 
 RUNS = {
     "rays3": ["--rays", "3", "--epochs", "6", "--batch-size", "16", "--seed", "5"],
@@ -71,6 +81,23 @@ def logits_digest(checkpoint: Path, data: Path) -> str:
     return h.hexdigest()
 
 
+def grads_digest(mode: str) -> str:
+    """Digest of every parameter's gradient, in name order, after one taped
+    rays-3 desk step on 64 random images at precision ``mode``."""
+    with precision(mode):
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        gen = np.random.default_rng(0)
+        images = Tensor(gen.normal(size=(64, 3, 32, 32)))
+        labels = gen.integers(0, 3, size=64)
+        with Tape() as tape:
+            loss = cross_entropy(model.forward(images), labels)
+        backward(loss, tape)
+    h = hashlib.blake2b(digest_size=8)
+    for name, param in sorted(model.parameters().items()):
+        h.update(name.encode() + param.grad.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -98,6 +125,8 @@ def main() -> None:
             print(f"{logits_digest(checkpoint, data)}  logits/{name}")
         gradcheck = run(["gradcheck", "--scope", "block", "--seed", "0"])
         print(f"{digest(gradcheck.encode())}  stdout/gradcheck-block")
+    for mode, dtype in (("single", "float32"), ("double", "float64")):
+        print(f"{grads_digest(mode)}  grads/desk-rays3-batch64-{dtype}")
 
 
 if __name__ == "__main__":

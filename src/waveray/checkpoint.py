@@ -204,6 +204,9 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
         config = json.loads(r.text(*r.unpack("<I")))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: bad config blob: {e}") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: bad config blob: a JSON {type(config).__name__}, "
+                              f"not an object")
     (n_records,) = r.unpack("<I")
     params: dict = {}
     opt_m: dict = {}

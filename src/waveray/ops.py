@@ -15,7 +15,12 @@ per-tap multiply-adds.  The backward replays the tape of the equivalent
 chain of single-filter calls node by node, on maps of a lone call's size:
 it sums each value's gradient over its uses in arrival order and hands
 the input and tap gradients to the tape per node, so results and
-gradients equal the chain's bit for bit.  Symmetric padding keeps a
+gradients equal the chain's bit for bit.  A node's input gradient is
+summed with the filtered axis outermost, so each tap adds whole
+contiguous blocks rather than windows a few elements long; every element
+still gets the same adds in the same order.  A tap's gradient is the
+pairwise sum of the product in the chain's own C order, because its bits
+depend on that order.  Symmetric padding keeps a
 constant map constant under an averaging filter right up to the borders,
 which the zero-padded general convolution cannot do.
 
@@ -28,6 +33,9 @@ bit-identical to the einsum formulation, without its per-call path planning.
 Only where einsum squeezes unit extents in several places at once (say a
 grouped conv on 1x1 maps) may it lay an operand out otherwise and round a
 last bit differently.
+
+The general convolution forms no gradient for an input that needs none,
+such as the images under the stem: its backward returns ``None`` there.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
     """Strided, grouped 2-D cross-correlation with zero padding.
 
     ``x`` is NCHW, ``kernel`` is (C_out, C_in/groups, kh, kw).  Output
-    extents follow floor((extent + 2*pad - k) / stride) + 1.
+    extents follow floor((extent + 2*pad - k) / stride) + 1.  When ``x``
+    needs no gradient, as the images do, the backward forms none for it.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -91,8 +100,10 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
     def bw(g):
         gg = g.reshape(n, groups, cout_g, ho, wo)
         g_rows = gg.transpose(1, 0, 3, 4, 2).reshape(groups, n * ho * wo, cout_g)
-        g_cols = gg.transpose(1, 2, 0, 3, 4).reshape(groups, cout_g, n * ho * wo)
         gk = np.matmul(patches, g_rows).transpose(0, 2, 1).reshape(kernel.shape)
+        if not x.requires_grad:  # the images, say: skip the scatter nothing reads
+            return None, gk
+        g_cols = gg.transpose(1, 2, 0, 3, 4).reshape(groups, cout_g, n * ho * wo)
         gwin = np.matmul(kg.transpose(0, 2, 1), g_cols)
         gwin = gwin.reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 4, 5, 1, 2)
         gxp = np.zeros_like(xp)
@@ -137,13 +148,17 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
         x_cols = xd.transpose(1, 0, 2, 3).reshape(cin, n * h * w)
         g_rows = g.transpose(0, 2, 3, 1).reshape(n * h * w, cout)
         g_cols = g.transpose(1, 0, 2, 3).reshape(cout, n * h * w)
-        gw = np.matmul(x_cols, g_rows).T
+        gw = np.ascontiguousarray(np.matmul(x_cols, g_rows).T)  # the optimizer reads it whole
         gx = np.matmul(w2.T, g_cols).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
     return _record_op(out, (x, weight) if bias is None else (x, weight, bias), bw)
+
+
+# a map's axis order with the given axis first, and the order that undoes it
+_AXIS_FIRST = {2: ((2, 0, 1, 3), (1, 2, 0, 3)), 3: ((3, 0, 1, 2), (1, 2, 3, 0))}
 
 
 def _pad_extents(k: int, stride: int) -> tuple[int, int]:
@@ -244,6 +259,15 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
     of the equivalent chain: single-filter calls, each band's sum as a left
     fold of adds, then a concat of the bands.  Outputs and gradients are
     bit-identical to that chain's.
+
+    Per node, the backward transposes the output gradient once so the
+    filtered axis comes first, adds each tap's share into a zeroed padded
+    buffer as whole row blocks, folds the mirrored border back the same
+    way and transposes back once: each element gets the same adds, in the
+    same order, as strided windows over the NCHW map would give it.  Each tap's
+    gradient is ``np.add.reduce`` over the C-ordered product of the
+    gradient and the tap's window, the pairwise sum ``np.sum`` makes of
+    it, since another order would round differently.
     """
     x = _as_tensor(x)
     bank = (taps,) if isinstance(taps, (Tensor, np.ndarray)) else tuple(taps)
@@ -317,21 +341,21 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
             before, after = _pad_extents(k, stride)
             # node by node: the tap sums reduce the chain's arrays, and maps stay cache-sized
             reads = _windows(ax, shared_before - before, k, out_len, stride)
-            writes = _windows(ax, 0, k, out_len, stride)
-            shape = list(xs.shape)
-            shape[ax] = length + before + after
-            gxp = np.zeros(shape, dtype=xp.dtype)
             gtaps = np.empty(k, dtype=taps_f.dtype)
+            for t in range(k):  # numpy's pairwise sum of the C-ordered product, as np.sum
+                gtaps[t] = np.add.reduce((gg * xs[reads[t]]).reshape(-1))
+            # the filtered axis first: each output row scatters onto whole padded rows
+            first, back = _AXIS_FIRST[ax]
+            g_first = np.ascontiguousarray(gg.transpose(first))
+            gxp = np.zeros((length + before + after,) + g_first.shape[1:], dtype=xp.dtype)
+            span = stride * (out_len - 1) + 1
             for t in range(k):
-                gtaps[t] = np.sum(gg * xs[reads[t]])
-                gxp[writes[t]] += taps_f[t] * gg
-            gx = np.ascontiguousarray(gxp[_windows(ax, before, 1, length, 1)[0]])
-            # fold the mirrored border back onto its sources
-            gm, gpm = np.moveaxis(gx, ax, 0), np.moveaxis(gxp, ax, 0)
-            for m in range(before):
-                gm[before - 1 - m] += gpm[m]
-            for m in range(after):
-                gm[length - 1 - m] += gpm[before + length + m]
+                gxp[t : t + span : stride] += taps_f[t] * g_first
+            # fold the mirrored border back onto its sources, before's rows then after's
+            end = before + length
+            gxp[before : 2 * before][::-1] += gxp[:before]
+            gxp[end - after : end][::-1] += gxp[end:]
+            gx = np.ascontiguousarray(gxp[before:end].transpose(back))
             if len(q) > 1:
                 arrive(q[:-1], gx)
                 input_grads.append(gtaps)

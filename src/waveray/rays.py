@@ -71,7 +71,8 @@ def distance_matrix(origins, coords) -> Tensor:
     """Euclidean distances D[i, j] = |origin_i - coord_j|.
 
     Differentiable in both point sets; the subgradient at coincident
-    points is zero.
+    points is zero.  A point set that needs no gradient, as the pixel grid
+    does not, gets none.
     """
     origins, coords = _as_tensor(origins), _as_tensor(coords)
     if origins.ndim != 2 or origins.shape[1] != 2:
@@ -84,8 +85,8 @@ def distance_matrix(origins, coords) -> Tensor:
     def bw(g):
         safe = np.where(dist > 0.0, dist, 1.0)
         u = np.where(dist > 0.0, g / safe, 0.0)
-        go = (u[:, :, None] * diff).sum(axis=1)
-        gc = -(u[:, :, None] * diff).sum(axis=0)
+        go = (u[:, :, None] * diff).sum(axis=1) if origins.requires_grad else None
+        gc = -(u[:, :, None] * diff).sum(axis=0) if coords.requires_grad else None
         return go, gc
 
     return _record_op(dist, (origins, coords), bw)

@@ -235,6 +235,15 @@ class TestCorruption:
 
 
 class TestConfigEcho:
+    @pytest.mark.parametrize("blob", [b"[]", b'"x"', b"3"])
+    def test_non_object_config_blob_rejected(self, tmp_path, blob):
+        # a valid digest over JSON that is not an object
+        body = struct.pack("<I", len(blob)) + blob + struct.pack("<I", 0)
+        p = tmp_path / "ck.wrnc"
+        p.write_bytes(MAGIC + struct.pack("<I", 2) + body + blake2b64(body))
+        with pytest.raises(CheckpointError, match="bad config blob"):
+            load_checkpoint(p)
+
     def test_mismatch_names_the_fields(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
         save_checkpoint(p, tiny_state(rng))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from waveray.autodiff import get_precision, precision
-from waveray.checkpoint import CheckpointState, load_checkpoint, save_checkpoint
+from waveray.checkpoint import MAGIC, CheckpointState, load_checkpoint, save_checkpoint
 from waveray.cli import _checkpoint_model, build_configs, main, parse_config_file
 from waveray.data import load_dataset
 from waveray.errors import ConfigError
@@ -285,6 +285,14 @@ class TestEval:
         extents_at = len(blob) - 8 - 4 - 16  # four u32 extents, one f4 payload, the digest
         body = blob[8:extents_at] + struct.pack("<4I", *(65536,) * 4) + blob[-12:-8]
         p.write_bytes(blob[:8] + body + hashlib.blake2b(body, digest_size=8).digest())
+        assert run_cli("eval", "--checkpoint", p, "--data", synth_dir) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_object_config_blob_is_an_error_line(self, synth_dir, tmp_path, capsys):
+        body = struct.pack("<I", 2) + b"[]" + struct.pack("<I", 0)
+        p = tmp_path / "list.wrnc"
+        p.write_bytes(MAGIC + struct.pack("<I", 2) + body
+                      + hashlib.blake2b(body, digest_size=8).digest())
         assert run_cli("eval", "--checkpoint", p, "--data", synth_dir) == 1
         assert capsys.readouterr().err.startswith("error:")
 

@@ -215,6 +215,19 @@ class TestConv2dOracle:
             lambda a, b: conv2d(a, b, stride=(2, 2), padding=(1, 1), groups=2), (x, k), gout)
         assert [a.dtype for a in (out, *grads)] == [np.float32] * 3
 
+    def test_images_without_grad_get_none_and_the_same_kernel_grad(self, rng):
+        x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)  # the stem's geometry
+        k = Tensor(rng.normal(size=(8, 3, 7, 7)).astype(np.float32), requires_grad=True)
+        gout = rng.normal(size=(2, 8, 8, 8)).astype(np.float32)
+        pulled = []
+        for images in (Tensor(x), Tensor(x, requires_grad=True)):
+            with Tape() as tape:
+                conv2d(images, k, stride=(2, 2), padding=(3, 3))
+            pulled.append(tape.nodes[-1].backward(gout))
+        (gx_off, gk_off), (gx_on, gk_on) = pulled
+        assert gx_off is None and gx_on is not None
+        assert np.array_equal(gk_off, gk_on)
+
     def test_grad_matches_oracle_of_shifted_losses(self):
         """Gradient wrt the kernel equals conv of input with the output grad
         (verified here through the oracle on a small case)."""
@@ -483,6 +496,33 @@ class TestBankGradientsEqualChain:
     input and the taps have other uses: the tape then sums the bank's
     per-node input and tap gradients with those uses, in the chain's order."""
 
+    @staticmethod
+    def assert_step_equals_chain(extent, stride, rounds, bands, dtype=np.float32):
+        def step(bank_call):
+            gen = np.random.default_rng(7)
+            x = Tensor(gen.normal(size=(2, 3, *extent)).astype(dtype), requires_grad=True)
+            low = Tensor(gen.normal(size=3).astype(dtype), requires_grad=True)
+            high = Tensor(gen.normal(size=5).astype(dtype), requires_grad=True)
+            with Tape() as tape:
+                h = gelu(x)  # the band input, also read by the mul below
+                first = bank_call(h, (low, high), (3, 2), stride, rounds, bands)
+                other = mul(h, Tensor(gen.normal(size=h.shape).astype(dtype)))
+                second = bank_call(h, (high, low), (2, 3), stride, rounds, bands)
+                terms = [reduce_sum(mul(t, Tensor(gen.normal(size=t.shape).astype(dtype))))
+                         for t in (first, other, second)]
+                loss = functools.reduce(add, terms)
+            backward(loss, tape)
+            return loss.data, x.grad, low.grad, high.grad
+
+        def bank(h, taps, axes, stride, rounds, bands):
+            return sep_conv1d(h, taps, axis=axes, stride=stride, rounds=rounds, bands=bands)
+
+        with precision("double" if dtype == np.float64 else "single"):
+            got, want = step(bank), step(chain_bank)
+        assert got[0].dtype == dtype
+        for name, a, b in zip(("loss", "x", "low", "high"), got, want):
+            assert a.dtype == dtype and np.array_equal(a, b), name
+
     @pytest.mark.parametrize("stride,rounds,bands", [
         (2, 1, None),  # four bands, decimating
         (1, 2, None),  # the modulation context
@@ -492,29 +532,23 @@ class TestBankGradientsEqualChain:
         (2, 1, (((0, 0),), ((0, 0), (1, 1)), ((0, 0), (0, 1)))),  # a leaf read by three bands
     ])
     def test_float32_step(self, stride, rounds, bands):
-        def step(bank_call):
-            gen = np.random.default_rng(7)
-            x = Tensor(gen.normal(size=(2, 3, 8, 8)).astype(np.float32), requires_grad=True)
-            low = Tensor(gen.normal(size=3).astype(np.float32), requires_grad=True)
-            high = Tensor(gen.normal(size=5).astype(np.float32), requires_grad=True)
-            with Tape() as tape:
-                h = gelu(x)  # the band input, also read by the mul below
-                first = bank_call(h, (low, high), (3, 2), stride, rounds, bands)
-                other = mul(h, Tensor(gen.normal(size=h.shape).astype(np.float32)))
-                second = bank_call(h, (high, low), (2, 3), stride, rounds, bands)
-                terms = [reduce_sum(mul(t, Tensor(gen.normal(size=t.shape).astype(np.float32))))
-                         for t in (first, other, second)]
-                loss = functools.reduce(add, terms)
-            backward(loss, tape)
-            return loss.data, x.grad, low.grad, high.grad
+        self.assert_step_equals_chain((8, 8), stride, rounds, bands)
 
-        def bank(h, taps, axes, stride, rounds, bands):
-            return sep_conv1d(h, taps, axis=axes, stride=stride, rounds=rounds, bands=bands)
-
-        got, want = step(bank), step(chain_bank)
-        assert got[0].dtype == np.float32
-        for name, a, b in zip(("loss", "x", "low", "high"), got, want):
-            assert np.array_equal(a, b), name
+    @pytest.mark.parametrize("extent,stride,rounds,bands,dtype", [
+        ((16, 16), 2, 1, None, np.float32),
+        ((4, 4), 1, 2, None, np.float32),
+        ((2, 2), 1, 2, None, np.float32),
+        ((4, 4), 2, 1, PAIRS, np.float32),
+        ((2, 2), 1, 1, PAIRS, np.float32),
+        ((6, 10), 2, 1, None, np.float32),
+        ((5, 7), 1, 1, None, np.float32),
+        ((16, 16), 2, 1, None, np.float64),
+        ((4, 4), 1, 2, None, np.float64),
+        ((4, 4), 2, 1, PAIRS, np.float64),
+    ], ids=["extract0", "context-4x4", "context-2x2", "pool-4x4", "pool-2x2", "stride2-6x10",
+            "stride1-5x7", "extract0-float64", "context-4x4-float64", "pool-4x4-float64"])
+    def test_model_extents(self, extent, stride, rounds, bands, dtype):
+        self.assert_step_equals_chain(extent, stride, rounds, bands, dtype)
 
 def test_desk_step_calls_no_einsum(monkeypatch):
     """The kernels issue their matmuls directly: no per-call einsum planning on the hot path."""

@@ -79,6 +79,13 @@ class TestDistanceMatrix:
         # only the distinct point contributes
         np.testing.assert_allclose(np.linalg.norm(o.grad), 1.0, rtol=1e-5)
 
+    def test_grid_without_grad_gets_none(self, rng):
+        o = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        with Tape() as tape:
+            d = distance_matrix(o, Tensor(pixel_grid(4, 4).coords))
+        go, gc = tape.nodes[-1].backward(rng.normal(size=d.shape))
+        assert go.shape == (3, 2) and gc is None
+
     def test_origin_gradient_nonzero_for_generic_input(self, rng):
         o = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         c = Tensor(pixel_grid(4, 4).coords)
