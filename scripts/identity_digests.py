@@ -3,7 +3,12 @@
 Generates a small synthetic set, runs five short `waveray train` invocations
 on it, and prints one ``<blake2b-64>  <run>/<file>`` line per written
 ``config.txt``, checkpoint and ``origins.csv``.  ``metrics.csv`` is left out,
-because its throughput column varies from run to run.  It then digests every
+because its throughput column varies from run to run.  Each ``.wrnc``
+checkpoint also gets a ``body/<run>/<file>`` line, which digests bytes
+``8:-8`` of the file: everything but the magic, the format version and the
+integrity trailer.  A change of checkpoint container (a new version number
+or trailer digest) moves only the file line, while a change in the trained
+values moves the ``body/`` line too.  It then digests every
 file ``export-maps --layer 2`` writes for the shared-field run, and the
 stdout of ``param-count --table1 --rays 3 --classes 10`` plus ``eval`` of the
 rays-3 run, with eval's ``images_per_second`` column dropped.  Two lines
@@ -108,6 +113,8 @@ def main() -> None:
             for path in sorted((root / name).iterdir()):
                 if path.name != "metrics.csv":
                     print(f"{digest(path.read_bytes())}  {name}/{path.name}")
+                if path.suffix == ".wrnc":
+                    print(f"{digest(path.read_bytes()[8:-8])}  body/{name}/{path.name}")
         maps = root / "maps"
         run(["export-maps", "--checkpoint", str(root / "rays3-shared" / "checkpoint_final.wrnc"),
              "--image", str(data / "images" / "img_00000.ppm"), "--out", str(maps),

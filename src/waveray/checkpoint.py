@@ -3,13 +3,13 @@
 Layout (integers little-endian):
 
     magic   b"WRNC"
-    u32     format version (currently 2)
+    u32     format version (currently 3)
     u32     config length, then that many bytes of UTF-8 JSON
     u32     record count
     records u16 name length | name UTF-8 | u8 dtype code | u8 rank
             | u32 extents[rank] | payload, little-endian, C order
-    u8[8]   BLAKE2b digest (RFC 7693, 8-byte output) of every byte after
-            the version field and before the digest itself
+    u8[8]   the first 8 bytes of the SHA-256 digest (FIPS 180-4) of every
+            byte after the version field and before the digest itself
 
 Each payload keeps its array's dtype: code 0 is float32, code 1 float64;
 any other dtype is refused on save.  Optimizer moments ride along as
@@ -18,9 +18,15 @@ RNG state and the model config all live in the JSON blob.  A save streams
 the pieces through the digest into a temp file that is renamed into place,
 so a crash never leaves a half-written checkpoint behind.
 
-Version 1 files still load.  They differ only in two places: records have
-no dtype code (every payload is float32), and the trailer is the u64
-FNV-1a hash of the same bytes.
+A load never holds the whole file in memory.  It hashes the body in chunks
+of at most 1 MiB and checks the digest before it parses anything, then
+seeks back and reads each payload straight into its own new array.
+
+Older files still load.  Version 2 is version 3 byte for byte except its
+trailer, the 8-byte BLAKE2b digest (RFC 7693) of the same bytes.  Version 1
+also has no dtype codes (every payload is float32), and its trailer is the
+u64 FNV-1a hash of the same bytes.  That hash is one pure-Python call over
+the whole body, so a version-1 load alone gathers the body in memory.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,9 +46,10 @@ from .data import atomic_write_bytes
 from .errors import CheckpointError
 
 MAGIC = b"WRNC"
-VERSION = 2
+VERSION = 3
 DIGEST_SIZE = 8
-_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))  # a v2 record's dtype code indexes this
+_CHUNK = 1 << 20  # bytes hashed per read while verifying a load
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))  # a record's dtype code indexes this
 _DTYPE_CODES = {dt.name: code for code, dt in enumerate(_DTYPES)}
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -108,55 +116,82 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     def pieces():
         # streamed: the digest sees each piece as it goes out, and no
         # whole-file copy of the payloads is ever made
-        digest = hashlib.blake2b(digest_size=DIGEST_SIZE)
+        digest = _FORMATS[VERSION][0]()
         yield MAGIC + struct.pack("<I", VERSION)
         for piece in itertools.chain([head], *records):
             digest.update(piece)
             yield piece
-        yield digest.digest()
+        yield digest.digest()[:DIGEST_SIZE]
 
     atomic_write_bytes(path, pieces())
 
 
-def _fnv1a_digest(body) -> bytes:
-    return struct.pack("<Q", fnv1a(body))
+class _Fnv1a:
+    """The version-1 digest behind hashlib's ``update``/``digest`` interface.
+
+    It gathers the body and hashes it in one ``fnv1a`` call, looked up as a
+    module global so that a wrapper installed there sees every byte.
+    """
+
+    def __init__(self):
+        self.body = bytearray()
+
+    def update(self, data) -> None:
+        self.body += data
+
+    def digest(self) -> bytes:
+        return struct.pack("<Q", fnv1a(self.body))
 
 
-def _blake2b_digest(body) -> bytes:
-    return hashlib.blake2b(body, digest_size=DIGEST_SIZE).digest()
+def _blake2b64():
+    return hashlib.blake2b(digest_size=DIGEST_SIZE)
 
 
-# version -> (digest of the body, whether records carry a dtype code)
-_FORMATS = {1: (_fnv1a_digest, False), 2: (_blake2b_digest, True)}
+# version -> (digest constructor, whether records carry a dtype code); the
+# trailer is the first DIGEST_SIZE bytes of the digest
+_FORMATS = {1: (_Fnv1a, False), 2: (_blake2b64, True), 3: (hashlib.sha256, True)}
 
 
 class _Reader:
-    """Cursor over ``blob[pos:end]`` that reads in place and never runs past ``end``."""
+    """Reads ``fh`` from its position up to byte ``end`` and never past it."""
 
-    def __init__(self, blob: bytes, pos: int, end: int, path):
-        self.blob = blob
+    def __init__(self, fh, pos: int, end: int, path):
+        self.fh = fh
         self.pos = pos
         self.end = end
         self.path = path
 
-    def _advance(self, n: int) -> int:
+    def _truncated(self, n: int) -> CheckpointError:
+        return CheckpointError(f"{self.path}: truncated at byte {self.pos} (wanted {n} more)")
+
+    def _advance(self, n: int) -> None:
+        # checked against the file's size before anything of size n is
+        # read or allocated
         if self.pos + n > self.end:
-            raise CheckpointError(f"{self.path}: truncated at byte {self.pos} (wanted {n} more)")
-        start = self.pos
+            raise self._truncated(n)
         self.pos += n
-        return start
+
+    def read(self, n: int) -> bytes:
+        self._advance(n)
+        data = self.fh.read(n)
+        if len(data) != n:  # the file shrank after its size was taken
+            raise self._truncated(n)
+        return data
 
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
     def text(self, n: int) -> str:
-        start = self._advance(n)
-        return self.blob[start : start + n].decode("utf-8")
+        return self.read(n).decode("utf-8")
 
     def array(self, dtype: np.dtype, shape: tuple) -> np.ndarray:
         count = math.prod(shape)  # Python ints: a huge shape cannot wrap to a small count
-        start = self._advance(count * dtype.itemsize)
-        return np.frombuffer(self.blob, dtype, count, start).reshape(shape).copy()
+        n = count * dtype.itemsize
+        self._advance(n)
+        arr = np.empty(shape, dtype)
+        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != n:
+            raise self._truncated(n)  # never hand back uninitialised memory
+        return arr
 
 
 def _config_diff(expected: dict, found: dict, prefix: str = "") -> list[str]:
@@ -173,33 +208,41 @@ def _config_diff(expected: dict, found: dict, prefix: str = "") -> list[str]:
     return diffs
 
 
-def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState:
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as e:
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
-    if len(blob) < len(MAGIC) + 4 + DIGEST_SIZE:
+def _verify(fh, path, size: int) -> int:
+    """Check the head and the digest of the open file; return its version."""
+    if size < len(MAGIC) + 4 + DIGEST_SIZE:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    if blob[: len(MAGIC)] != MAGIC:
+    head = fh.read(len(MAGIC) + 4)
+    if head[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, len(MAGIC))
+    (version,) = struct.unpack_from("<I", head, len(MAGIC))
     if version not in _FORMATS:
         raise CheckpointError(
             f"{path}: format version {version} unsupported; this build reads versions "
             f"{', '.join(map(str, _FORMATS))}; re-save the checkpoint with a matching "
             f"library version"
         )
-    digest_of, has_dtype = _FORMATS[version]
-    end = len(blob) - DIGEST_SIZE
-    stored = blob[end:]
-    computed = digest_of(memoryview(blob)[8:end])
+    digest = _FORMATS[version][0]()
+    left = size - len(head) - DIGEST_SIZE
+    chunk = memoryview(bytearray(min(_CHUNK, left)))
+    while left:
+        n = fh.readinto(chunk[: min(_CHUNK, left)])
+        if not n:
+            raise CheckpointError(f"{path}: truncated while verifying ({left} bytes short)")
+        digest.update(chunk[:n])
+        left -= n
+    stored = fh.read(DIGEST_SIZE)
+    computed = digest.digest()[:DIGEST_SIZE]
     if stored != computed:
         raise CheckpointError(
             f"{path}: checksum mismatch (stored {stored.hex()}, computed {computed.hex()})"
         )
+    return version
 
-    r = _Reader(blob, 8, end, path)
+
+def _read_records(r: _Reader, has_dtype: bool) -> tuple:
+    """Parse the config and the records after the version field."""
+    path = r.path
     try:
         config = json.loads(r.text(*r.unpack("<I")))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -224,8 +267,22 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
             opt_v[name[6:]] = arr
         else:
             params[name] = arr
-    if r.pos != end:
-        raise CheckpointError(f"{path}: {end - r.pos} trailing bytes after records")
+    if r.pos != r.end:
+        raise CheckpointError(f"{path}: {r.end - r.pos} trailing bytes after records")
+    return config, params, opt_m, opt_v
+
+
+def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState:
+    path = Path(path)
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            version = _verify(fh, path, size)
+            fh.seek(len(MAGIC) + 4)
+            config, params, opt_m, opt_v = _read_records(
+                _Reader(fh, len(MAGIC) + 4, size - DIGEST_SIZE, path), _FORMATS[version][1])
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
 
     model_config = config.get("model", {})
     if expected_model_config is not None:

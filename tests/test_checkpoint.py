@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,13 +43,22 @@ def tiny_state(rng, **overrides):
     return CheckpointState(**kwargs)
 
 
-def blake2b64(body: bytes) -> bytes:
-    return hashlib.blake2b(body, digest_size=8).digest()
+def digest_for(version: int, body: bytes) -> bytes:
+    """The trailer a file of ``version`` carries over ``body``: FNV-1a (u64),
+    then BLAKE2b-64, then the first 8 bytes of SHA-256."""
+    if version == 1:
+        return struct.pack("<Q", fnv1a(body))
+    if version == 2:
+        return hashlib.blake2b(body, digest_size=8).digest()
+    return hashlib.sha256(body).digest()[:8]
 
 
-def v1_blob(state) -> bytes:
-    """A version-1 file as the format-1 writer laid it out: no dtype codes,
-    float32 payloads and a u64 FNV-1a trailer."""
+def forge(version: int, body: bytes) -> bytes:
+    """A file of ``version`` around ``body``, with a matching trailer."""
+    return MAGIC + struct.pack("<I", version) + body + digest_for(version, body)
+
+
+def _blob(state, version: int) -> bytes:
     config = {"model": state.model_config, "opt_step": state.opt_step, "epoch": state.epoch,
               "rng_state": state.rng_state, "precision": state.precision,
               "extra": state.extra}
@@ -57,15 +68,31 @@ def v1_blob(state) -> bytes:
     records += [(f"opt.v/{name}", state.opt_v[name]) for name in sorted(state.opt_v)]
     body = struct.pack("<I", len(config_b)) + config_b + struct.pack("<I", len(records))
     for name, arr in records:
-        payload = np.asarray(arr, dtype="<f4")
+        arr = np.asarray(arr)
+        payload = arr.astype("<f8" if version > 1 and arr.dtype == np.float64 else "<f4")
         name_b = name.encode("utf-8")
-        body += struct.pack("<H", len(name_b)) + name_b + struct.pack("<B", payload.ndim)
+        body += struct.pack("<H", len(name_b)) + name_b
+        if version > 1:
+            body += struct.pack("<B", int(payload.dtype == np.float64))
+        body += struct.pack("<B", payload.ndim)
         body += struct.pack(f"<{payload.ndim}I", *payload.shape) + payload.tobytes()
-    return MAGIC + struct.pack("<I", 1) + body + struct.pack("<Q", fnv1a(body))
+    return forge(version, body)
+
+
+def v1_blob(state) -> bytes:
+    """A version-1 file as the format-1 writer laid it out: no dtype codes,
+    float32 payloads and a u64 FNV-1a trailer."""
+    return _blob(state, 1)
+
+
+def v2_blob(state) -> bytes:
+    """A version-2 file as the format-2 writer laid it out: a dtype code per
+    record, payloads in their own dtype and a BLAKE2b-64 trailer."""
+    return _blob(state, 2)
 
 
 def v2_records(blob: bytes) -> list:
-    """(name, dtype code, shape, payload bytes) of every record in a v2 file."""
+    """(name, dtype code, shape, payload bytes) of every record in a v2 or v3 file."""
     pos = 12 + struct.unpack_from("<I", blob, 8)[0]
     (count,) = struct.unpack_from("<I", blob, pos)
     pos += 4
@@ -214,12 +241,11 @@ class TestCorruption:
         state = tiny_state(rng)
         p = tmp_path / "ck.wrnc"
         save_checkpoint(p, state)
-        blob = p.read_bytes()
-        body = blob[8:-8] + b"junk"
-        forged = MAGIC + struct.pack("<I", VERSION) + body + blake2b64(body)
-        p.write_bytes(forged)
-        with pytest.raises(CheckpointError, match="4 trailing bytes"):
-            load_checkpoint(p)
+        body = p.read_bytes()[8:-8] + b"junk"
+        for version in (2, 3):
+            p.write_bytes(forge(version, body))
+            with pytest.raises(CheckpointError, match="4 trailing bytes"):
+                load_checkpoint(p)
 
     def test_overflowing_shape_is_truncation(self, tmp_path):
         """Extents whose product wraps a 64-bit element count to 0 still read as
@@ -229,9 +255,10 @@ class TestCorruption:
         blob = p.read_bytes()
         extents_at = len(blob) - 8 - 4 - 16  # four u32 extents, one f4 payload, the digest
         body = blob[8:extents_at] + struct.pack("<4I", *(65536,) * 4) + blob[-12:-8]
-        p.write_bytes(blob[:8] + body + blake2b64(body))
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(p)
+        for version in (2, 3):
+            p.write_bytes(forge(version, body))
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(p)
 
 
 class TestConfigEcho:
@@ -240,9 +267,10 @@ class TestConfigEcho:
         # a valid digest over JSON that is not an object
         body = struct.pack("<I", len(blob)) + blob + struct.pack("<I", 0)
         p = tmp_path / "ck.wrnc"
-        p.write_bytes(MAGIC + struct.pack("<I", 2) + body + blake2b64(body))
-        with pytest.raises(CheckpointError, match="bad config blob"):
-            load_checkpoint(p)
+        for version in (2, 3):
+            p.write_bytes(forge(version, body))
+            with pytest.raises(CheckpointError, match="bad config blob"):
+                load_checkpoint(p)
 
     def test_mismatch_names_the_fields(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
@@ -276,13 +304,13 @@ class TestLayout:
         save_checkpoint(p, tiny_state(rng))
         blob = p.read_bytes()
         assert blob[:4] == b"WRNC"
-        assert struct.unpack("<I", blob[4:8])[0] == VERSION
+        assert struct.unpack("<I", blob[4:8])[0] == VERSION == 3
         config_len = struct.unpack("<I", blob[8:12])[0]
         config = json.loads(blob[12 : 12 + config_len])
         assert config["epoch"] == 4
         assert config["model"]["classes"] == 3
         # checksum trailer covers exactly the body
-        assert blob[-8:] == blake2b64(blob[8:-8])
+        assert blob[-8:] == digest_for(3, blob[8:-8])
 
     def test_records_are_sorted_with_moments_last(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
@@ -368,9 +396,10 @@ class TestDtypes:
         assert blob[code_at] == 0
         blob[code_at] = 7
         body = bytes(blob[8:-8])
-        p.write_bytes(bytes(blob[:8]) + body + blake2b64(body))
-        with pytest.raises(CheckpointError, match="dtype code 7"):
-            load_checkpoint(p)
+        for version in (2, 3):
+            p.write_bytes(forge(version, body))
+            with pytest.raises(CheckpointError, match="dtype code 7"):
+                load_checkpoint(p)
 
 
 class TestVersion1:
@@ -417,3 +446,111 @@ class TestVersion1:
         p = tmp_path / "ck.wrnc"
         save_checkpoint(p, tiny_state(rng))
         assert load_checkpoint(p).opt_step == 17
+        p.write_bytes(v2_blob(tiny_state(rng)))
+        assert load_checkpoint(p).opt_step == 17
+
+
+class TestVersion2:
+    def test_v2_file_loads_like_a_v3_save(self, tmp_path, rng):
+        params = {"w": rng.normal(size=(4, 3)).astype(np.float32), "d": rng.normal(size=(2, 5)),
+                  "s": np.float64(np.e)}
+        state = tiny_state(rng, params=params, opt_m={k: v * 0.5 for k, v in params.items()},
+                           opt_v={k: v * v for k, v in params.items()})
+        v2, v3 = tmp_path / "v2.wrnc", tmp_path / "v3.wrnc"
+        v2.write_bytes(v2_blob(state))
+        save_checkpoint(v3, state)
+        # the same layout: only the version field and the trailer differ
+        assert v2.read_bytes()[8:-8] == v3.read_bytes()[8:-8]
+        old, new = load_checkpoint(v2), load_checkpoint(v3)
+        for kind in ("params", "opt_m", "opt_v"):
+            before, after = getattr(old, kind), getattr(new, kind)
+            assert set(before) == set(after) == set(params)
+            for name in params:
+                assert before[name].dtype == after[name].dtype == np.asarray(params[name]).dtype
+                assert before[name].shape == after[name].shape
+                assert before[name].tobytes() == after[name].tobytes()
+        assert old.model_config == new.model_config == state.model_config
+        assert (old.opt_step, old.epoch, old.rng_state, old.precision, old.extra) == (
+            new.opt_step, new.epoch, new.rng_state, new.precision, new.extra)
+
+    def test_v2_flipped_payload_byte_names_checksum(self, tmp_path, rng):
+        blob = bytearray(v2_blob(tiny_state(rng)))
+        blob[len(blob) // 2] ^= 0x01
+        p = tmp_path / "v2.wrnc"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(p)
+
+
+class TestStreamingLoad:
+    def test_peak_memory_is_the_payload(self, tmp_path, rng):
+        """No whole-file buffer and no second copy: while loading, traced
+        memory peaks at the arrays themselves plus the hashing chunk."""
+        params = {"a": rng.normal(size=(1024, 1024)).astype(np.float32),
+                  "b": rng.normal(size=(256, 1024))}
+        state = tiny_state(rng, params=params, opt_m={k: v * 0.5 for k, v in params.items()},
+                           opt_v={k: v * v for k, v in params.items()})
+        p = tmp_path / "big.wrnc"
+        save_checkpoint(p, state)
+        total = 3 * sum(arr.nbytes for arr in params.values())
+        assert total >= 16 * 2**20
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < total + 2 * 2**20, (peak, total)
+        np.testing.assert_array_equal(back.opt_v["b"], state.opt_v["b"])
+
+    def test_arrays_own_aligned_writable_memory(self, tmp_path, rng):
+        params = {"w": rng.normal(size=(3, 5)).astype(np.float32), "s": np.float64(1.5)}
+        state = tiny_state(rng, params=params, opt_m=dict(params), opt_v=dict(params))
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, state)
+        back = load_checkpoint(p)
+        for arrays in (back.params, back.opt_m, back.opt_v):
+            for arr in arrays.values():
+                assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+                assert arr.base is None
+
+    def test_oversized_payload_is_truncation_before_allocation(self, tmp_path):
+        """A head claiming a 256 MiB payload in a tiny file is refused from
+        the file's size: no array of that size is ever allocated."""
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, CheckpointState({}, {"w": np.zeros((1, 1, 1, 1), np.float32)}))
+        blob = p.read_bytes()
+        extents_at = len(blob) - 8 - 4 - 16
+        body = blob[8:extents_at] + struct.pack("<4I", 64, 1024, 1024, 1) + blob[-12:-8]
+        p.write_bytes(forge(VERSION, body))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_file_cut_after_verification_is_truncation(self, tmp_path, rng, monkeypatch):
+        """A file that shrinks between the digest pass and the record pass
+        leaves a payload short: the load fails rather than hand back an
+        array with uninitialised bytes."""
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, tiny_state(rng))
+        size = p.stat().st_size
+
+        class CutOnDigest:
+            def __init__(self):
+                self.inner = hashlib.sha256()
+
+            def update(self, data):
+                self.inner.update(data)
+
+            def digest(self):
+                os.truncate(p, size - 8 - 2)  # the last payload loses two bytes
+                return self.inner.digest()
+
+        monkeypatch.setitem(checkpoint._FORMATS, VERSION, (CutOnDigest, True))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(p)
