@@ -18,9 +18,14 @@ RNG state and the model config all live in the JSON blob.  A save streams
 the pieces through the digest into a temp file that is renamed into place,
 so a crash never leaves a half-written checkpoint behind.
 
-A load never holds the whole file in memory.  It hashes the body in chunks
-of at most 1 MiB and checks the digest before it parses anything, then
-seeks back and reads each payload straight into its own new array.
+A load never holds the whole file in memory.  It reads the file once: each
+record head with a small read and each payload straight into its own new
+array, feeding the digest exactly the bytes it parses, and compares the
+trailer before it returns.  A file that fails to parse has the rest of its
+body hashed first, so a damaged file is refused for its checksum, not for
+whatever the damage broke.  Every length is checked against the file's size
+before anything is allocated, so a damaged head can make the loader allocate
+at most the file's size before the digest refuses it.
 
 Older files still load.  Version 2 is version 3 byte for byte except its
 trailer, the 8-byte BLAKE2b digest (RFC 7693) of the same bytes.  Version 1
@@ -48,7 +53,7 @@ from .errors import CheckpointError
 MAGIC = b"WRNC"
 VERSION = 3
 DIGEST_SIZE = 8
-_CHUNK = 1 << 20  # bytes hashed per read while verifying a load
+_CHUNK = 1 << 20  # bytes hashed per read when a load drains a body it could not parse
 _DTYPES = (np.dtype("<f4"), np.dtype("<f8"))  # a record's dtype code indexes this
 _DTYPE_CODES = {dt.name: code for code, dt in enumerate(_DTYPES)}
 
@@ -137,7 +142,7 @@ class _Fnv1a:
         self.body = bytearray()
 
     def update(self, data) -> None:
-        self.body += data
+        self.body += bytes(data)  # an array's raw bytes, not numpy's elementwise add
 
     def digest(self) -> bytes:
         return struct.pack("<Q", fnv1a(self.body))
@@ -153,45 +158,57 @@ _FORMATS = {1: (_Fnv1a, False), 2: (_blake2b64, True), 3: (hashlib.sha256, True)
 
 
 class _Reader:
-    """Reads ``fh`` from its position up to byte ``end`` and never past it."""
+    """Reads ``fh`` from its position up to byte ``end`` and never past it,
+    feeding ``digest`` every byte it reads."""
 
-    def __init__(self, fh, pos: int, end: int, path):
+    def __init__(self, fh, pos: int, end: int, digest, path):
         self.fh = fh
         self.pos = pos
         self.end = end
+        self.digest = digest
         self.path = path
 
     def _truncated(self, n: int) -> CheckpointError:
         return CheckpointError(f"{self.path}: truncated at byte {self.pos} (wanted {n} more)")
 
-    def _advance(self, n: int) -> None:
-        # checked against the file's size before anything of size n is
-        # read or allocated
-        if self.pos + n > self.end:
-            raise self._truncated(n)
-        self.pos += n
-
     def read(self, n: int) -> bytes:
-        self._advance(n)
+        if self.pos + n > self.end:  # against the size the file had when opened
+            raise self._truncated(n)
         data = self.fh.read(n)
         if len(data) != n:  # the file shrank after its size was taken
             raise self._truncated(n)
+        self.digest.update(data)
+        self.pos += n
         return data
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
-
-    def text(self, n: int) -> str:
-        return self.read(n).decode("utf-8")
 
     def array(self, dtype: np.dtype, shape: tuple) -> np.ndarray:
         count = math.prod(shape)  # Python ints: a huge shape cannot wrap to a small count
         n = count * dtype.itemsize
-        self._advance(n)
-        arr = np.empty(shape, dtype)
-        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != n:
-            raise self._truncated(n)  # never hand back uninitialised memory
+        if self.pos + n > self.end:  # checked before anything of size n is allocated
+            raise self._truncated(n)
+        try:
+            arr = np.empty(shape, dtype)
+        except ValueError as e:  # over 64 extents, or extents numpy cannot multiply out
+            raise CheckpointError(f"{self.path}: record shape at byte {self.pos}: {e}") from None
+        if self.fh.readinto(arr) != n:  # never hand back uninitialised memory
+            raise self._truncated(n)
+        self.digest.update(arr)
+        self.pos += n
         return arr
+
+    def finish(self) -> None:
+        """Hash what is left of the body and compare the stored digest."""
+        while self.pos < self.end:
+            data = self.fh.read(min(_CHUNK, self.end - self.pos))
+            if not data:
+                raise self._truncated(self.end - self.pos)
+            self.digest.update(data)
+            self.pos += len(data)
+        stored = self.fh.read(DIGEST_SIZE)
+        computed = self.digest.digest()[:DIGEST_SIZE]
+        if stored != computed:
+            raise CheckpointError(f"{self.path}: checksum mismatch "
+                                  f"(stored {stored.hex()}, computed {computed.hex()})")
 
 
 def _config_diff(expected: dict, found: dict, prefix: str = "") -> list[str]:
@@ -208,8 +225,8 @@ def _config_diff(expected: dict, found: dict, prefix: str = "") -> list[str]:
     return diffs
 
 
-def _verify(fh, path, size: int) -> int:
-    """Check the head and the digest of the open file; return its version."""
+def _open(fh, path, size: int) -> tuple[_Reader, int]:
+    """Check the file's head; return a reader of its body for that version."""
     if size < len(MAGIC) + 4 + DIGEST_SIZE:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
     head = fh.read(len(MAGIC) + 4)
@@ -222,45 +239,38 @@ def _verify(fh, path, size: int) -> int:
             f"{', '.join(map(str, _FORMATS))}; re-save the checkpoint with a matching "
             f"library version"
         )
-    digest = _FORMATS[version][0]()
-    left = size - len(head) - DIGEST_SIZE
-    chunk = memoryview(bytearray(min(_CHUNK, left)))
-    while left:
-        n = fh.readinto(chunk[: min(_CHUNK, left)])
-        if not n:
-            raise CheckpointError(f"{path}: truncated while verifying ({left} bytes short)")
-        digest.update(chunk[:n])
-        left -= n
-    stored = fh.read(DIGEST_SIZE)
-    computed = digest.digest()[:DIGEST_SIZE]
-    if stored != computed:
-        raise CheckpointError(
-            f"{path}: checksum mismatch (stored {stored.hex()}, computed {computed.hex()})"
-        )
-    return version
+    return _Reader(fh, len(head), size - DIGEST_SIZE, _FORMATS[version][0](), path), version
 
 
 def _read_records(r: _Reader, has_dtype: bool) -> tuple:
     """Parse the config and the records after the version field."""
     path = r.path
     try:
-        config = json.loads(r.text(*r.unpack("<I")))
+        (n,) = struct.unpack("<I", r.read(4))
+        config = json.loads(r.read(n).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: bad config blob: {e}") from None
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: bad config blob: a JSON {type(config).__name__}, "
                               f"not an object")
-    (n_records,) = r.unpack("<I")
+    (n_records,) = struct.unpack("<I", r.read(4))
     params: dict = {}
     opt_m: dict = {}
     opt_v: dict = {}
     for _ in range(n_records):
-        name = r.text(*r.unpack("<H"))
-        (code,) = r.unpack("<B") if has_dtype else (0,)  # version 1 is all float32
+        # three reads a head: the name's length; the name, dtype code and
+        # rank; the extents
+        (n,) = struct.unpack("<H", r.read(2))
+        head = r.read(n + 2 if has_dtype else n + 1)
+        try:
+            name = head[:n].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: bad record name: {e}") from None
+        code = head[n] if has_dtype else 0  # version 1 is all float32
         if code >= len(_DTYPES):
             raise CheckpointError(f"{path}: record {name!r} has unknown dtype code {code}")
-        (rank,) = r.unpack("<B")
-        arr = r.array(_DTYPES[code], r.unpack(f"<{rank}I"))
+        rank = head[-1]
+        arr = r.array(_DTYPES[code], struct.unpack(f"<{rank}I", r.read(4 * rank)))
         if name.startswith("opt.m/"):
             opt_m[name[6:]] = arr
         elif name.startswith("opt.v/"):
@@ -276,11 +286,13 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            version = _verify(fh, path, size)
-            fh.seek(len(MAGIC) + 4)
-            config, params, opt_m, opt_v = _read_records(
-                _Reader(fh, len(MAGIC) + 4, size - DIGEST_SIZE, path), _FORMATS[version][1])
+            r, version = _open(fh, path, os.fstat(fh.fileno()).st_size)
+            try:
+                config, params, opt_m, opt_v = _read_records(r, _FORMATS[version][1])
+            except Exception:
+                r.finish()  # a damaged file names its checksum before what the damage broke
+                raise
+            r.finish()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
 

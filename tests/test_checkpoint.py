@@ -193,6 +193,23 @@ class TestCorruption:
             with pytest.raises(CheckpointError):
                 load_checkpoint(bad)
 
+    def test_every_flipped_body_byte_names_checksum(self, tmp_path, rng):
+        """The loader parses as it hashes, yet a damaged head is refused for
+        its checksum, not for the length, name, code or rank it now reads."""
+        state = tiny_state(rng, params={"w": rng.normal(size=(2, 3)).astype(np.float32),
+                                        "s": np.float64(2.0)})
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, state)
+        blob = p.read_bytes()
+        bad = tmp_path / "bad.wrnc"
+        for offset in range(8, len(blob) - 8):
+            for flip in (0x40, 0xFF):
+                corrupted = bytearray(blob)
+                corrupted[offset] ^= flip
+                bad.write_bytes(bytes(corrupted))
+                with pytest.raises(CheckpointError, match="checksum mismatch"):
+                    load_checkpoint(bad)
+
     def test_flipped_payload_byte_names_checksum(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
         save_checkpoint(p, tiny_state(rng))
@@ -259,6 +276,30 @@ class TestCorruption:
             p.write_bytes(forge(version, body))
             with pytest.raises(CheckpointError, match="truncated"):
                 load_checkpoint(p)
+
+    def test_bad_record_name_rejected(self, tmp_path):
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, CheckpointState({}, {"w": np.zeros(1, np.float32)}))
+        blob = p.read_bytes()
+        name_at = len(blob) - 8 - 4 - 4 - 1 - 1 - 1  # payload, extent, rank, code, name
+        assert blob[name_at : name_at + 1] == b"w"
+        body = blob[8:name_at] + b"\xff" + blob[name_at + 1 : -8]
+        for version in (2, 3):
+            p.write_bytes(forge(version, body))
+            with pytest.raises(CheckpointError, match="bad record name"):
+                load_checkpoint(p)
+
+    def test_rank_beyond_numpy_is_an_error(self, tmp_path):
+        """65 unit extents make a 4-byte payload numpy cannot shape."""
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, CheckpointState({}, {"w": np.zeros((1, 1, 1, 1), np.float32)}))
+        blob = p.read_bytes()
+        rank_at = len(blob) - 8 - 4 - 16 - 1
+        assert blob[rank_at] == 4
+        body = blob[8:rank_at] + struct.pack("<B65I", 65, *(1,) * 65) + blob[-12:-8]
+        p.write_bytes(forge(VERSION, body))
+        with pytest.raises(CheckpointError, match="record shape"):
+            load_checkpoint(p)
 
 
 class TestConfigEcho:
@@ -485,7 +526,7 @@ class TestVersion2:
 class TestStreamingLoad:
     def test_peak_memory_is_the_payload(self, tmp_path, rng):
         """No whole-file buffer and no second copy: while loading, traced
-        memory peaks at the arrays themselves plus the hashing chunk."""
+        memory peaks at the arrays themselves plus the small record heads."""
         params = {"a": rng.normal(size=(1024, 1024)).astype(np.float32),
                   "b": rng.normal(size=(256, 1024))}
         state = tiny_state(rng, params=params, opt_m={k: v * 0.5 for k, v in params.items()},
@@ -532,15 +573,42 @@ class TestStreamingLoad:
             tracemalloc.stop()
         assert peak < 2**20, peak
 
-    def test_file_cut_after_verification_is_truncation(self, tmp_path, rng, monkeypatch):
-        """A file that shrinks between the digest pass and the record pass
-        leaves a payload short: the load fails rather than hand back an
-        array with uninitialised bytes."""
+    def test_file_cut_during_the_load_is_truncation(self, tmp_path, rng, monkeypatch):
+        """A file that shrinks after its size was taken leaves a payload short:
+        the load fails rather than hand back an array with uninitialised bytes.
+        The payload outsizes the reader's buffer, so it is read after the cut."""
         p = tmp_path / "ck.wrnc"
-        save_checkpoint(p, tiny_state(rng))
+        w = rng.normal(size=(256, 256)).astype(np.float32)
+        save_checkpoint(p, tiny_state(rng, params={"w": w}, opt_m={}, opt_v={}))
         size = p.stat().st_size
 
-        class CutOnDigest:
+        class CutOnFirstUpdate:
+            def __init__(self):
+                self.inner = hashlib.sha256()
+
+            def update(self, data):
+                if os.stat(p).st_size == size:
+                    os.truncate(p, size - 8 - 2)  # the last payload loses two bytes
+                self.inner.update(data)
+
+            def digest(self):
+                return self.inner.digest()
+
+        monkeypatch.setitem(checkpoint._FORMATS, VERSION, (CutOnFirstUpdate, True))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(p)
+
+    def test_returned_arrays_are_the_bytes_hashed(self, tmp_path, rng, monkeypatch):
+        """An in-place rewrite of the same size once the digest is complete
+        cannot reach the result: the arrays are the very bytes that were hashed."""
+        state = tiny_state(rng)
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, state)
+        blob = bytearray(p.read_bytes())
+        blob[-8 - 4] ^= 0x40  # a byte of the last payload, opt.v/stem.kernel
+        rewritten = bytes(blob)
+
+        class RewriteOnDigest:
             def __init__(self):
                 self.inner = hashlib.sha256()
 
@@ -548,9 +616,12 @@ class TestStreamingLoad:
                 self.inner.update(data)
 
             def digest(self):
-                os.truncate(p, size - 8 - 2)  # the last payload loses two bytes
+                with open(p, "r+b") as fh:
+                    fh.write(rewritten)
                 return self.inner.digest()
 
-        monkeypatch.setitem(checkpoint._FORMATS, VERSION, (CutOnDigest, True))
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(p)
+        monkeypatch.setitem(checkpoint._FORMATS, VERSION, (RewriteOnDigest, True))
+        back = load_checkpoint(p)
+        assert p.read_bytes() == rewritten
+        for name, arr in state.opt_v.items():
+            np.testing.assert_array_equal(back.opt_v[name], arr)
