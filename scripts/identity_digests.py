@@ -14,11 +14,13 @@ stdout of ``param-count --table1 --rays 3 --classes 10`` plus ``eval`` of the
 rays-3 run, with eval's ``images_per_second`` column dropped.  Two lines
 digest the batch-1 logits of every image of the set under the rays-3 and the
 shared-field final checkpoints, where repeated untaped forwards reuse the ray
-maps, and one digests the stdout of ``gradcheck --scope block --seed 0``,
-where finite differences edit the field arrays in place between forwards.
-The last two lines digest every parameter's gradient after one taped
-rays-3 desk step at batch 64, in float32 and in float64, so a change to a
-backward shows here directly, not only through the trained checkpoints.
+maps.  Two digest the stdout of ``gradcheck --scope block --seed 0``, where
+finite differences edit the field arrays in place between forwards, and of
+``gradcheck --scope op --seed 0``.  The last three lines digest every
+parameter's gradient after one taped desk step at batch 64: rays 3 in
+float32 and in float64, and rays 0 (the global-average-pooling head) in
+float32.  So a change to a backward shows here directly, not only through
+the trained checkpoints.
 A change that claims no behaviour change should leave this output unchanged:
 
     python3 scripts/identity_digests.py > after.txt   # and diff with the parent's
@@ -86,11 +88,11 @@ def logits_digest(checkpoint: Path, data: Path) -> str:
     return h.hexdigest()
 
 
-def grads_digest(mode: str) -> str:
+def grads_digest(mode: str, rays: int) -> str:
     """Digest of every parameter's gradient, in name order, after one taped
-    rays-3 desk step on 64 random images at precision ``mode``."""
+    desk step with ray budget ``rays`` on 64 random images at precision ``mode``."""
     with precision(mode):
-        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        model = WaveletClassifier(desk_config(rays=rays), seed=0)
         gen = np.random.default_rng(0)
         images = Tensor(gen.normal(size=(64, 3, 32, 32)))
         labels = gen.integers(0, 3, size=64)
@@ -130,10 +132,12 @@ def main() -> None:
         for name in ("rays3", "rays3-shared"):
             checkpoint = root / name / "checkpoint_final.wrnc"
             print(f"{logits_digest(checkpoint, data)}  logits/{name}")
-        gradcheck = run(["gradcheck", "--scope", "block", "--seed", "0"])
-        print(f"{digest(gradcheck.encode())}  stdout/gradcheck-block")
-    for mode, dtype in (("single", "float32"), ("double", "float64")):
-        print(f"{grads_digest(mode)}  grads/desk-rays3-batch64-{dtype}")
+        for scope in ("block", "op"):
+            gradcheck = run(["gradcheck", "--scope", scope, "--seed", "0"])
+            print(f"{digest(gradcheck.encode())}  stdout/gradcheck-{scope}")
+    for rays, mode, dtype in ((3, "single", "float32"), (3, "double", "float64"),
+                              (0, "single", "float32")):
+        print(f"{grads_digest(mode, rays)}  grads/desk-rays{rays}-batch64-{dtype}")
 
 
 if __name__ == "__main__":

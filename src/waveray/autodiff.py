@@ -24,6 +24,7 @@ from scipy.special import erf as _erf
 
 from .errors import (
     BroadcastError,
+    ConfigError,
     DetachedGraphError,
     InvalidAxisError,
     NonFiniteError,
@@ -42,7 +43,7 @@ def set_precision(mode: str) -> None:
     """Select the dtype used for newly created leaf tensors."""
     global _PRECISION
     if mode not in _DTYPES:
-        raise ValueError(f"precision must be one of {sorted(_DTYPES)}, got {mode!r}")
+        raise ConfigError(f"precision must be one of {sorted(_DTYPES)}, got {mode!r}")
     _PRECISION = mode
 
 
@@ -553,10 +554,4 @@ def global_avg_pool(x) -> Tensor:
     x = _as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool expects an NCHW tensor, got shape {x.shape}")
-    n, c, h, w = x.shape
-    out = x.data.mean(axis=(2, 3))
-
-    def bw(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)),)
-
-    return _record_op(out, (x,), bw)
+    return reduce_mean(x, axis=(2, 3))

@@ -224,9 +224,6 @@ class FeaturePyramid:
     def deepest(self) -> Tensor:
         return self.entries[-1][1]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -272,17 +269,14 @@ class Backbone(Module):
             x = stage.forward(x)
         entries = []
         maps = []
-        n_stages = len(self.stages)
         for i, stage in enumerate(self.stages):
             for block in stage.blocks:
                 x = block.forward(x)
             for ray in stage.rays:
                 x, amap = ray.forward(x)
                 maps.append(amap)
-            if i < n_stages - 1:
+            if i < len(self.stages) - 1:
                 entries.append((i, x))
-                x = stage.pool.forward(x)
-            else:
-                x = stage.pool.forward(x)
-                entries.append((i, x))
+            x = stage.pool.forward(x)
+        entries.append((i, x))  # the last stage's entry is its pooled map
         return FeaturePyramid(entries), maps

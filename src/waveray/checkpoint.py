@@ -47,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff
 from .data import atomic_write_bytes
 from .errors import CheckpointError
 
@@ -303,7 +304,8 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
         if diffs:
             raise CheckpointError(f"{path}: config mismatch in fields: {', '.join(diffs)}")
     precision = config.get("precision", "single")
-    if precision not in ("single", "double"):
+    # tested against a tuple, so an unhashable stored value is refused, not a TypeError
+    if precision not in tuple(autodiff._DTYPES):
         raise CheckpointError(f"{path}: precision must be 'single' or 'double', got {precision!r}")
     return CheckpointState(
         model_config=model_config,

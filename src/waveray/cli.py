@@ -128,14 +128,12 @@ def _merge_cli_values(args) -> dict:
     return values
 
 
-def _split_set_args(pairs) -> list[tuple[str, str]]:
-    out = []
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        out.append((key.strip(), value.strip()))
-    return out
+def _set_pair(text: str) -> tuple[str, str]:
+    """Parse one ``--set`` argument into its key and value."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
+    return key.strip(), value.strip()
 
 
 def cmd_train(args) -> int:
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peak-lr", dest="peak_lr", type=float)
     p.add_argument("--weight-decay", dest="weight_decay", type=float)
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+    p.add_argument("--set", action="append", type=_set_pair, metavar="KEY=VALUE",
                    help="override any config key (repeatable)")
     p.set_defaults(fn=cmd_train)
 
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the full-scale preset (same as --set preset=table1)")
     p.add_argument("--rays", type=int)
     p.add_argument("--classes", type=int)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p.add_argument("--set", action="append", type=_set_pair, metavar="KEY=VALUE")
     p.set_defaults(fn=cmd_param_count)
 
     p = sub.add_parser("synth", help="generate a synthetic shape dataset")
@@ -318,8 +316,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        if hasattr(args, "set"):
-            args.set = _split_set_args(args.set)
         return args.fn(args)
     except DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)

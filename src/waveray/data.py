@@ -105,13 +105,6 @@ def write_pgm(path, img: np.ndarray) -> None:
         fh.write(img.tobytes())
 
 
-@dataclass
-class DatasetManifest:
-    root: Path
-    entries: list  # (relative path, label) pairs
-    class_names: list
-
-
 class Dataset:
     """In-memory image batch: float32 images (N, 3, E, E) plus labels."""
 
@@ -132,7 +125,8 @@ class Dataset:
         return len(self.class_names)
 
 
-def read_manifest(manifest_path) -> DatasetManifest:
+def read_manifest(manifest_path) -> tuple[Path, list]:
+    """The manifest's directory and its (relative path, label) pairs."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.csv"
@@ -157,12 +151,7 @@ def read_manifest(manifest_path) -> DatasetManifest:
         entries.append((rel, label))
     if not entries:
         raise DataError(f"{manifest_path}: no entries")
-    n_classes = max(label for _, label in entries) + 1
-    return DatasetManifest(
-        root=manifest_path.parent,
-        entries=entries,
-        class_names=[f"class{i}" for i in range(n_classes)],
-    )
+    return manifest_path.parent, entries
 
 
 def load_dataset(manifest_path, classes: int = None) -> Dataset:
@@ -172,28 +161,27 @@ def load_dataset(manifest_path, classes: int = None) -> Dataset:
     class count is inferred and every label value up to the maximum has to
     appear at least once.
     """
-    manifest = read_manifest(manifest_path)
-    labels = np.array([label for _, label in manifest.entries], dtype=np.int64)
+    root, entries = read_manifest(manifest_path)
+    labels = np.array([label for _, label in entries], dtype=np.int64)
     if labels.min() < 0:
-        raise DataError(f"negative label {labels.min()} in {manifest.root}")
+        raise DataError(f"negative label {labels.min()} in {root}")
     if classes is not None:
         if labels.max() >= classes:
-            bad = next(rel for rel, lab in manifest.entries if lab >= classes)
+            bad = next(rel for rel, lab in entries if lab >= classes)
             raise DataError(
                 f"label {labels.max()} out of range for {classes} classes (first at {bad})"
             )
-        class_names = [f"class{i}" for i in range(classes)]
     else:
         present = set(labels.tolist())
         missing = [i for i in range(labels.max() + 1) if i not in present]
         if missing:
             raise DataError(f"labels are not dense: missing {missing}")
-        class_names = manifest.class_names
+        classes = int(labels.max()) + 1
 
     images = []
     extent = None
-    for rel, _ in manifest.entries:
-        img = read_image(manifest.root / rel)
+    for rel, _ in entries:
+        img = read_image(root / rel)
         if img.shape[1] != img.shape[2]:
             raise DataError(f"{rel}: images must be square, got {img.shape[1]}x{img.shape[2]}")
         if extent is None:
@@ -203,7 +191,7 @@ def load_dataset(manifest_path, classes: int = None) -> Dataset:
                 f"{rel}: extent {img.shape[1]} differs from the first image's {extent}"
             )
         images.append(img)
-    return Dataset(np.stack(images), labels, class_names)
+    return Dataset(np.stack(images), labels, [f"class{i}" for i in range(classes)])
 
 
 # ---------------------------------------------------------------------------

@@ -254,10 +254,18 @@ OP_PROBES = [
 ]
 
 
-def _probe_stem(rng):
-    stem = Stem(4, rng)
-    x = Tensor(rng.normal(size=(1, 3, 14, 14)), requires_grad=True)
-    return lambda: stem.forward(x), {"x": x, **dict(stem.named_params("stem"))}
+def _module_probe(make, shape, prefix: str, first: bool = False):
+    """A probe of one module: ``make(rng)`` builds it, then an input of ``shape``
+    is drawn.  Its parameters are named under ``prefix``; with ``first`` the
+    forward returns a pair and the probe checks its first item."""
+
+    def builder(rng):
+        module = make(rng)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        run = (lambda: module.forward(x)[0]) if first else (lambda: module.forward(x))
+        return run, {"x": x, **dict(module.named_params(prefix))}
+
+    return builder
 
 
 def _probe_wave_decompose(rng):
@@ -273,18 +281,6 @@ def _probe_wave_decompose(rng):
     return run, {"x": x, "low": filters.low, "high": filters.high}
 
 
-def _probe_extract_stage(rng):
-    stage = ExtractStage(4, 6, rng)
-    x = Tensor(rng.normal(size=(1, 4, 8, 8)), requires_grad=True)
-    return lambda: stage.forward(x), {"x": x, **dict(stage.named_params("ex"))}
-
-
-def _probe_modulation_block(rng):
-    block = ModulationBlock(8, rng)
-    x = Tensor(rng.normal(size=(1, 8, 8, 8)), requires_grad=True)
-    return lambda: block.forward(x), {"x": x, **dict(block.named_params("blk"))}
-
-
 def _probe_context(rng):
     block = ModulationBlock(8, rng)
     block.filters.low = Tensor(rng.normal(size=3), requires_grad=True)
@@ -292,12 +288,6 @@ def _probe_context(rng):
     h = Tensor(rng.normal(size=(2, 8, 6, 6)), requires_grad=True)
     return lambda: block.context(h), {"h": h, "context_proj": block.context_proj,
                                       "low": block.filters.low, "high": block.filters.high}
-
-
-def _probe_wave_pool(rng):
-    pool = WavePool(4, 6, rng, stride=2)
-    x = Tensor(rng.normal(size=(1, 4, 6, 6)), requires_grad=True)
-    return lambda: pool.forward(x), {"x": x, **dict(pool.named_params("pool"))}
 
 
 def _probe_attenuation(rng):
@@ -316,28 +306,18 @@ def _probe_attenuation(rng):
     return run, dict(field.named_params("field"))
 
 
-def _probe_ray_layer(rng):
-    layer = RayLayer(4, n_origins=3, rng=rng)
-    x = Tensor(rng.normal(size=(1, 4, 8, 8)), requires_grad=True)
-    return lambda: layer.forward(x)[0], {"x": x, **dict(layer.named_params("ray"))}
-
-
-def _probe_encoder(rng):
-    enc = RayEncoder(6, d_model=4, n_layers=1, n_origins=3, rng=rng)
-    x = Tensor(rng.normal(size=(1, 6, 4, 4)), requires_grad=True)
-    return lambda: enc.forward(x)[0], {"x": x, **dict(enc.named_params("enc"))}
-
-
 BLOCK_PROBES = [
-    ("stem", _probe_stem),
+    ("stem", _module_probe(lambda rng: Stem(4, rng), (1, 3, 14, 14), "stem")),
     ("wave_decompose", _probe_wave_decompose),
-    ("extract_stage", _probe_extract_stage),
-    ("modulation_block", _probe_modulation_block),
+    ("extract_stage", _module_probe(lambda rng: ExtractStage(4, 6, rng), (1, 4, 8, 8), "ex")),
+    ("modulation_block", _module_probe(lambda rng: ModulationBlock(8, rng), (1, 8, 8, 8), "blk")),
     ("context", _probe_context),
-    ("wave_pool", _probe_wave_pool),
+    ("wave_pool", _module_probe(lambda rng: WavePool(4, 6, rng, stride=2), (1, 4, 6, 6), "pool")),
     ("attenuation", _probe_attenuation),
-    ("ray_layer", _probe_ray_layer),
-    ("encoder", _probe_encoder),
+    ("ray_layer", _module_probe(lambda rng: RayLayer(4, n_origins=3, rng=rng), (1, 4, 8, 8),
+                                "ray", first=True)),
+    ("encoder", _module_probe(lambda rng: RayEncoder(6, d_model=4, n_layers=1, n_origins=3,
+                                                     rng=rng), (1, 6, 4, 4), "enc", first=True)),
 ]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Affine, Module, Tensor, _as_tensor, _record_op
-from .backbone import Backbone, BackboneConfig, FeaturePyramid
+from .backbone import Backbone, BackboneConfig
 from .errors import ConfigError, DataError, ShapeError
 from .rays import RayEncoder, RayField
 
@@ -53,9 +53,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        bb = dict(d["backbone"])
-        bb["extraction_channels"] = tuple(bb["extraction_channels"])
-        bb["refinement_channels"] = tuple(bb["refinement_channels"])
+        # JSON stores tuples as lists
+        bb = {k: tuple(v) if isinstance(v, list) else v for k, v in dict(d["backbone"]).items()}
         rest = {k: v for k, v in d.items() if k != "backbone"}
         return cls(backbone=BackboneConfig(**bb), **rest)
 

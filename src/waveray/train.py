@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, get_precision
+from .autodiff import _DTYPES, Tape, Tensor, backward, get_precision
 from .checkpoint import CheckpointState, save_checkpoint
 from .data import Dataset, write_origin_csv
 from .errors import ConfigError, DataError, DivergenceError
@@ -51,7 +51,7 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ConfigError(f"warmup_fraction must lie in [0, 1], got {self.warmup_fraction}")
-        if self.precision not in ("single", "double"):
+        if self.precision not in _DTYPES:
             raise ConfigError(f"precision must be 'single' or 'double', got {self.precision!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")

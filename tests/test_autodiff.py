@@ -9,6 +9,7 @@ from waveray import autodiff as ad
 from waveray.autodiff import Tape, Tensor, backward, precision
 from waveray.errors import (
     BroadcastError,
+    ConfigError,
     DetachedGraphError,
     InvalidAxisError,
     NonScalarLossError,
@@ -43,6 +44,13 @@ class TestPrecision:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             ad.set_precision("half")
+
+    def test_unknown_mode_is_a_config_error_and_keeps_the_mode(self):
+        with precision("double"):
+            with pytest.raises(ConfigError, match="precision"):
+                ad.set_precision("half")
+            assert ad.get_precision() == "double"
+        assert ad.get_precision() == "single"
 
 
 class TestTapeMechanics:
@@ -283,6 +291,19 @@ class TestLayerNormPool:
         x = rng.normal(size=(2, 3, 4, 5))
         out = ad.global_avg_pool(Tensor(x))
         np.testing.assert_allclose(out.data, x.astype(np.float32).mean(axis=(2, 3)), rtol=1e-5)
+
+    def test_global_avg_pool_bits(self, rng):
+        # the spatial mean and its uniform spread, bit for bit, in float32
+        x = rng.normal(size=(2, 64, 14, 14)).astype(np.float32)
+        g = rng.normal(size=(2, 64)).astype(np.float32)
+        leaf = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = ad.global_avg_pool(leaf)
+            loss = ad.reduce_sum(ad.mul(out, Tensor(g)))
+        backward(loss, tape)
+        h, w = x.shape[2:]
+        assert np.array_equal(out.data, x.mean(axis=(2, 3)))
+        assert np.array_equal(leaf.grad, np.broadcast_to(g[:, :, None, None] / (h * w), x.shape))
 
     def test_global_avg_pool_needs_4d(self):
         with pytest.raises(ShapeError):

@@ -431,3 +431,7 @@ class TestUsageErrors:
                        "--epochs", 1, "--set", "epochs")
         assert code == 1
         assert "key=value" in capsys.readouterr().err
+
+    def test_malformed_set_pair_param_count(self, capsys):
+        assert run_cli("param-count", "--set", "epochs") == 1
+        assert "key=value" in capsys.readouterr().err

@@ -92,9 +92,10 @@ def _write_tiny_dataset(root, labels, extent=16):
 class TestManifest:
     def test_reads_entries_and_infers_classes(self, tmp_path):
         m = _write_tiny_dataset(tmp_path, [0, 1, 2, 1])
-        manifest = read_manifest(m)
-        assert len(manifest.entries) == 4
-        assert manifest.class_names == ["class0", "class1", "class2"]
+        root, entries = read_manifest(m)
+        assert root == tmp_path
+        assert entries == [("img0.ppm", 0), ("img1.ppm", 1), ("img2.ppm", 2), ("img3.ppm", 1)]
+        assert load_dataset(m).class_names == ["class0", "class1", "class2"]
 
     def test_directory_argument_finds_manifest(self, tmp_path):
         _write_tiny_dataset(tmp_path, [0, 1])

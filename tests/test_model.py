@@ -1,6 +1,7 @@
 """Classifier assembly, loss and parameter accounting."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -42,10 +43,12 @@ class TestModelConfig:
         desk_config(input_extent=48).validate()
 
     def test_dict_round_trip(self):
-        cfg = desk_config(rays=2)
-        again = ModelConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-        assert isinstance(again.backbone.extraction_channels, tuple)
+        # through JSON, as a checkpoint stores it: tuples come back as lists
+        for cfg in (desk_config(rays=2), table1_config(rays=2)):
+            again = ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+            assert again == cfg
+            assert isinstance(again.backbone.extraction_channels, tuple)
+            assert isinstance(again.backbone.refinement_channels, tuple)
 
 
 class TestCrossEntropy:
