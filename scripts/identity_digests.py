@@ -14,9 +14,10 @@ stdout of ``param-count --table1 --rays 3 --classes 10`` plus ``eval`` of the
 rays-3 run, with eval's ``images_per_second`` column dropped.  Two lines
 digest the batch-1 logits of every image of the set under the rays-3 and the
 shared-field final checkpoints, where repeated untaped forwards reuse the ray
-maps.  Two digest the stdout of ``gradcheck --scope block --seed 0``, where
-finite differences edit the field arrays in place between forwards, and of
-``gradcheck --scope op --seed 0``.  The last three lines digest every
+maps.  Three digest the stdout of ``gradcheck --scope block --seed 0``, where
+finite differences edit the field arrays in place between forwards, of
+``gradcheck --scope op --seed 0`` and of ``gradcheck --scope model --seed 0``,
+the whole classifier's probe.  The last three lines digest every
 parameter's gradient after one taped desk step at batch 64: rays 3 in
 float32 and in float64, and rays 0 (the global-average-pooling head) in
 float32.  So a change to a backward shows here directly, not only through
@@ -132,7 +133,7 @@ def main() -> None:
         for name in ("rays3", "rays3-shared"):
             checkpoint = root / name / "checkpoint_final.wrnc"
             print(f"{logits_digest(checkpoint, data)}  logits/{name}")
-        for scope in ("block", "op"):
+        for scope in ("block", "op", "model"):
             gradcheck = run(["gradcheck", "--scope", scope, "--seed", "0"])
             print(f"{digest(gradcheck.encode())}  stdout/gradcheck-{scope}")
     for rays, mode, dtype in ((3, "single", "float32"), (3, "double", "float64"),

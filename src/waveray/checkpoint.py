@@ -298,6 +298,9 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
 
     model_config = config.get("model", {})
+    if not isinstance(model_config, dict):
+        raise CheckpointError(f"{path}: stored model config is a JSON "
+                              f"{type(model_config).__name__}, not an object")
     if expected_model_config is not None:
         # compared as stored: the JSON round trip turns tuples into lists
         diffs = _config_diff(json.loads(json.dumps(expected_model_config)), model_config)
@@ -307,13 +310,16 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
     # tested against a tuple, so an unhashable stored value is refused, not a TypeError
     if precision not in tuple(autodiff._DTYPES):
         raise CheckpointError(f"{path}: precision must be 'single' or 'double', got {precision!r}")
+    counters = {k: config.get(k, 0) for k in ("opt_step", "epoch")}
+    for k, v in counters.items():
+        if type(v) is not int or v < 0:  # a bool is not a count
+            raise CheckpointError(f"{path}: {k} must be a non-negative integer, got {v!r}")
     return CheckpointState(
         model_config=model_config,
         params=params,
         opt_m=opt_m,
         opt_v=opt_v,
-        opt_step=config.get("opt_step", 0),
-        epoch=config.get("epoch", 0),
+        **counters,
         rng_state=config.get("rng_state"),
         precision=precision,
         extra=config.get("extra", {}),

@@ -37,7 +37,7 @@ from .data import (
     write_origin_csv,
 )
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError, WaverayError
-from .gradcheck import DEFAULT_TOL, run_scope
+from .gradcheck import _SCOPES, DEFAULT_TOL, run_scope
 from .model import ModelConfig, WaveletClassifier, desk_config, param_count, table1_config
 from .train import METRICS_HEADER, TrainConfig, evaluate, origin_rows, train
 
@@ -182,7 +182,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    scopes = ["op", "block", "model"] if args.scope == "all" else [args.scope]
+    scopes = list(_SCOPES) if args.scope == "all" else [args.scope]
     worst = 0.0
     failed = False
     for scope in scopes:
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--scope", choices=["op", "block", "model", "all"], default="all")
+    p.add_argument("--scope", choices=[*_SCOPES, "all"], default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=cmd_gradcheck)

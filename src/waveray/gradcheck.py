@@ -18,6 +18,8 @@ suite finish in seconds while still touching every backward rule.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import autodiff as ad
@@ -100,32 +102,17 @@ def finite_diff_check(builder, seed: int = 0, n_samples: int = 8, step: float = 
 # probe registry
 
 
-def _probe_add(rng):
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)  # broadcast path
-    return lambda: ad.add(a, b), {"a": a, "b": b}
+def _op_probe(op, **draws):
+    """A probe of one op over fresh leaves, drawn in keyword order: a shape
+    draws ``rng.normal(size=shape)``, a callable ``d`` draws ``d(rng)``.  The
+    leaves are passed to ``op`` positionally and named by their keywords."""
 
+    def builder(rng):
+        leaves = {name: Tensor(d(rng) if callable(d) else rng.normal(size=d), requires_grad=True)
+                  for name, d in draws.items()}
+        return lambda: op(*leaves.values()), leaves
 
-def _probe_mul(rng):
-    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
-    return lambda: ad.mul(a, b), {"a": a, "b": b}
-
-
-def _probe_exp(rng):
-    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    return lambda: ad.exp(x), {"x": x}
-
-
-def _probe_reciprocal(rng):
-    x = Tensor(rng.uniform(0.5, 2.0, size=(4, 5)), requires_grad=True)
-    return lambda: ad.reciprocal(x), {"x": x}
-
-
-def _probe_matmul(rng):
-    a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    b = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-    return lambda: ad.matmul(a, b), {"a": a, "b": b}
+    return builder
 
 
 def _probe_shape_ops(rng):
@@ -152,47 +139,6 @@ def _probe_reductions(rng):
     return run, {"x": x}
 
 
-def _probe_softmax(rng):
-    x = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
-    return lambda: ad.softmax(x, axis=1), {"x": x}
-
-
-def _probe_gelu(rng):
-    x = Tensor(rng.normal(size=(3, 6)) * 1.5, requires_grad=True)
-    return lambda: ad.gelu(x), {"x": x}
-
-
-def _probe_layer_norm(rng):
-    x = Tensor(rng.normal(size=(2, 5, 3, 3)), requires_grad=True)
-    gain = Tensor(rng.normal(1.0, 0.2, size=5), requires_grad=True)
-    shift = Tensor(rng.normal(0.0, 0.2, size=5), requires_grad=True)
-    return lambda: ad.layer_norm(x, gain, shift), {"x": x, "gain": gain, "shift": shift}
-
-
-def _probe_global_avg_pool(rng):
-    x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-    return lambda: ad.global_avg_pool(x), {"x": x}
-
-
-def _probe_conv2d(rng):
-    x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
-    k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-    return lambda: ops.conv2d(x, k, stride=(2, 2), padding=(1, 1)), {"x": x, "kernel": k}
-
-
-def _probe_conv2d_grouped(rng):
-    x = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
-    k = Tensor(rng.normal(size=(6, 2, 3, 3)), requires_grad=True)
-    return lambda: ops.conv2d(x, k, stride=(1, 1), padding=(1, 1), groups=2), {"x": x, "kernel": k}
-
-
-def _probe_pointwise(rng):
-    x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=5), requires_grad=True)
-    return lambda: ops.pointwise_conv(x, w, b), {"x": x, "w": w, "b": b}
-
-
 def _probe_sep_conv1d(rng):
     x = Tensor(rng.normal(size=(2, 3, 6, 8)), requires_grad=True)
     low = Tensor(rng.normal(size=3), requires_grad=True)
@@ -206,51 +152,38 @@ def _probe_sep_conv1d(rng):
     return run, {"x": x, "low": low, "high": high}
 
 
-def _probe_distance_matrix(rng):
-    o = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    c = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
-    return lambda: distance_matrix(o, c), {"origins": o, "coords": c}
-
-
-def _probe_spectral_modulate(rng):
-    # an even and an odd extent: the odd width has no self-conjugate Nyquist bin
-    f = Tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
-    m = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
-    return lambda: spectral_modulate(f, m), {"f": f, "mask": m}
-
-
 def _probe_cross_entropy(rng):
     logits = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     labels = rng.integers(0, 4, size=6)
     return lambda: cross_entropy(logits, labels), {"logits": logits}
 
 
-def _probe_psf(rng):
-    d = Tensor(np.abs(rng.normal(size=(3, 8))) + 0.1, requires_grad=True)
-    sigma = Tensor(rng.uniform(0.5, 1.5, size=3), requires_grad=True)
-    return lambda: psf(d, sigma), {"dist": d, "sigma": sigma}
-
-
 OP_PROBES = [
-    ("add", _probe_add),
-    ("mul", _probe_mul),
-    ("exp", _probe_exp),
-    ("reciprocal", _probe_reciprocal),
-    ("matmul", _probe_matmul),
+    ("add", _op_probe(ad.add, a=(3, 4), b=(1, 4))),  # b takes the broadcast path
+    ("mul", _op_probe(ad.mul, a=(2, 3, 4), b=(3, 1))),
+    ("exp", _op_probe(ad.exp, x=(4, 5))),
+    ("reciprocal", _op_probe(ad.reciprocal, x=lambda rng: rng.uniform(0.5, 2.0, size=(4, 5)))),
+    ("matmul", _op_probe(ad.matmul, a=(3, 5), b=(5, 2))),
     ("shape_ops", _probe_shape_ops),
     ("reductions", _probe_reductions),
-    ("softmax", _probe_softmax),
-    ("gelu", _probe_gelu),
-    ("layer_norm", _probe_layer_norm),
-    ("global_avg_pool", _probe_global_avg_pool),
-    ("conv2d", _probe_conv2d),
-    ("conv2d_grouped", _probe_conv2d_grouped),
-    ("pointwise_conv", _probe_pointwise),
+    ("softmax", _op_probe(partial(ad.softmax, axis=1), x=(4, 7))),
+    ("gelu", _op_probe(ad.gelu, x=lambda rng: rng.normal(size=(3, 6)) * 1.5)),
+    ("layer_norm", _op_probe(ad.layer_norm, x=(2, 5, 3, 3),
+                             gain=lambda rng: rng.normal(1.0, 0.2, size=5),
+                             shift=lambda rng: rng.normal(0.0, 0.2, size=5))),
+    ("global_avg_pool", _op_probe(ad.global_avg_pool, x=(2, 3, 4, 4))),
+    ("conv2d", _op_probe(partial(ops.conv2d, stride=(2, 2), padding=(1, 1)),
+                         x=(1, 2, 6, 6), kernel=(3, 2, 3, 3))),
+    ("conv2d_grouped", _op_probe(partial(ops.conv2d, stride=(1, 1), padding=(1, 1), groups=2),
+                                 x=(2, 4, 5, 5), kernel=(6, 2, 3, 3))),
+    ("pointwise_conv", _op_probe(ops.pointwise_conv, x=(2, 3, 4, 4), w=(5, 3), b=(5,))),
     ("sep_conv1d", _probe_sep_conv1d),
-    ("distance_matrix", _probe_distance_matrix),
-    ("spectral_modulate", _probe_spectral_modulate),
+    ("distance_matrix", _op_probe(distance_matrix, origins=(4, 2), coords=(9, 2))),
+    # an even and an odd extent: the odd width has no self-conjugate Nyquist bin
+    ("spectral_modulate", _op_probe(spectral_modulate, f=(2, 3, 6, 5), mask=(6, 5))),
     ("cross_entropy", _probe_cross_entropy),
-    ("psf", _probe_psf),
+    ("psf", _op_probe(psf, dist=lambda rng: np.abs(rng.normal(size=(3, 8))) + 0.1,
+                      sigma=lambda rng: rng.uniform(0.5, 1.5, size=3))),
 ]
 
 

@@ -92,6 +92,8 @@ def cross_entropy(logits, labels) -> Tensor:
     if logits.ndim != 2:
         raise ShapeError(f"logits must be (N, classes), got {logits.shape}")
     n, k = logits.shape
+    if n == 0:
+        raise ShapeError("cross-entropy of an empty batch is undefined")
     if labels.shape != (n,):
         raise ShapeError(f"labels must have shape ({n},), got {labels.shape}")
     if not np.issubdtype(labels.dtype, np.integer):

@@ -333,6 +333,22 @@ class TestConfigEcho:
         save_checkpoint(p, state)
         load_checkpoint(p, expected_model_config={"widths": (8, 12, 16)})
 
+    def test_non_object_model_config_is_a_checkpoint_error(self, tmp_path, rng):
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, tiny_state(rng, model_config=[1, 2]))
+        with pytest.raises(CheckpointError, match="model config is a JSON list"):
+            load_checkpoint(p, expected_model_config=desk_config().to_dict())
+
+    @pytest.mark.parametrize("field", ["epoch", "opt_step"])
+    @pytest.mark.parametrize("value", [[1], -1, True, 1.0, "1", None])
+    def test_stored_counters_must_be_non_negative_ints(self, tmp_path, rng, field, value):
+        # a valid digest over a bad counter: the file must still be refused
+        p = tmp_path / "ck.wrnc"
+        for version in (2, 3):
+            p.write_bytes(_blob(tiny_state(rng, **{field: value}), version))
+            with pytest.raises(CheckpointError, match=f"{field} must be a non-negative"):
+                load_checkpoint(p)
+
     def test_matching_config_passes(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
         save_checkpoint(p, tiny_state(rng))

@@ -6,11 +6,13 @@ import struct
 import numpy as np
 import pytest
 
+from waveray import cli
 from waveray.autodiff import get_precision, precision
 from waveray.checkpoint import MAGIC, CheckpointState, load_checkpoint, save_checkpoint
 from waveray.cli import _checkpoint_model, build_configs, main, parse_config_file
 from waveray.data import load_dataset
 from waveray.errors import ConfigError
+from waveray.gradcheck import _SCOPES
 from waveray.model import ModelConfig, WaveletClassifier, desk_config
 from waveray.train import evaluate
 
@@ -330,6 +332,12 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "FAILED" in captured.err
+
+    def test_all_runs_every_scope_in_table_order(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_scope", lambda scope, **kw: calls.append(scope) or [])
+        assert run_cli("gradcheck", "--scope", "all") == 0
+        assert calls == list(_SCOPES)
 
 
 class TestParamCount:

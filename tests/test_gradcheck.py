@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from waveray import autodiff as ad
-from waveray.autodiff import Tensor, _record_op, get_precision
+from waveray.autodiff import Tensor, _record_op, get_precision, precision
 from waveray.errors import ConfigError
 from waveray.gradcheck import (
     BLOCK_PROBES,
     DEFAULT_TOL,
     OP_PROBES,
+    _op_probe,
     finite_diff_check,
     run_scope,
 )
@@ -117,6 +118,18 @@ class TestChecker:
         report = finite_diff_check(probe, seed=0, attempts=3)
         assert len(calls) >= 2
         assert report["x"] < 1e-6
+
+
+class TestOpProbe:
+    def test_leaves_are_drawn_in_keyword_order(self):
+        with precision("double"):  # as finite_diff_check builds its probes
+            _, leaves = _op_probe(ad.add, a=(2,), b=(3,))(np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(2,)), rng.normal(size=(3,))
+        assert list(leaves) == ["a", "b"]
+        np.testing.assert_array_equal(leaves["a"].data, a)
+        np.testing.assert_array_equal(leaves["b"].data, b)
+        assert leaves["a"].requires_grad and leaves["b"].requires_grad
 
 
 class TestScopes:

@@ -98,6 +98,10 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError):
             cross_entropy(Tensor(np.zeros(3)), np.array([0]))
 
+    def test_empty_batch_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="empty batch"):
+            cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
+
 
 class TestRayRouting:
     @pytest.mark.parametrize("rays,n_maps", [(0, 0), (1, 1), (2, 2), (3, 3)])
