@@ -17,11 +17,15 @@ shared-field final checkpoints, where repeated untaped forwards reuse the ray
 maps.  Three digest the stdout of ``gradcheck --scope block --seed 0``, where
 finite differences edit the field arrays in place between forwards, of
 ``gradcheck --scope op --seed 0`` and of ``gradcheck --scope model --seed 0``,
-the whole classifier's probe.  The last three lines digest every
-parameter's gradient after one taped desk step at batch 64: rays 3 in
-float32 and in float64, and rays 0 (the global-average-pooling head) in
-float32.  So a change to a backward shows here directly, not only through
-the trained checkpoints.
+the whole classifier's probe.  Three lines digest every parameter's
+gradient after one taped desk step at batch 64: rays 3 in float32 and in
+float64, and rays 0 (the global-average-pooling head) in float32.  So a
+change to a backward shows here directly, not only through the trained
+checkpoints.  The last line digests every parameter and both AdamW moments
+after two steps over the ``table1_config(rays=0)`` parameters with seeded
+gradients.  The whole desk model (35,206 parameters) is smaller than one
+block of the optimizer's blocked update; this line reaches parameters of
+many blocks.
 A change that claims no behaviour change should leave this output unchanged:
 
     python3 scripts/identity_digests.py > after.txt   # and diff with the parent's
@@ -50,7 +54,9 @@ from waveray.model import (  # noqa: E402
     WaveletClassifier,
     cross_entropy,
     desk_config,
+    table1_config,
 )
+from waveray.optim import AdamW  # noqa: E402
 
 RUNS = {
     "rays3": ["--rays", "3", "--epochs", "6", "--batch-size", "16", "--seed", "5"],
@@ -106,6 +112,24 @@ def grads_digest(mode: str, rays: int) -> str:
     return h.hexdigest()
 
 
+def table1_optimizer_digest() -> str:
+    """Digest of every parameter and its two moments, in name order, after two
+    AdamW steps over the table-1 rays-0 parameters with gradients drawn from
+    a fixed seed."""
+    params = WaveletClassifier(table1_config(rays=0), seed=0).parameters()
+    opt = AdamW(params, weight_decay=0.05)
+    gen = np.random.default_rng(0)
+    for lr in (1e-3, 5e-4):
+        for name, param in sorted(params.items()):
+            param.grad = gen.standard_normal(param.shape, dtype=param.dtype)
+        opt.step(lr)
+    m, v, _ = opt.export_state()
+    h = hashlib.blake2b(digest_size=8)
+    for name, param in sorted(params.items()):
+        h.update(name.encode() + param.data.tobytes() + m[name].tobytes() + v[name].tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -139,6 +163,7 @@ def main() -> None:
     for rays, mode, dtype in ((3, "single", "float32"), (3, "double", "float64"),
                               (0, "single", "float32")):
         print(f"{grads_digest(mode, rays)}  grads/desk-rays{rays}-batch64-{dtype}")
+    print(f"{table1_optimizer_digest()}  optim/table1-rays0-2steps")
 
 
 if __name__ == "__main__":

@@ -148,7 +148,7 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
         x_cols = xd.transpose(1, 0, 2, 3).reshape(cin, n * h * w)
         g_rows = g.transpose(0, 2, 3, 1).reshape(n * h * w, cout)
         g_cols = g.transpose(1, 0, 2, 3).reshape(cout, n * h * w)
-        gw = np.ascontiguousarray(np.matmul(x_cols, g_rows).T)  # the optimizer reads it whole
+        gw = np.matmul(x_cols, g_rows).T
         gx = np.matmul(w2.T, g_cols).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
         if bias is None:
             return gx, gw

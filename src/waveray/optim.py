@@ -2,6 +2,15 @@
 
 Adam's moment decays and denominator guard are fixed constants, which
 checkpoints do not store.
+
+``adamw_step`` walks each parameter in blocks of ``_BLOCK`` elements and
+runs the whole update on one block before the next.  Every operation of the
+update is elementwise and correctly rounded, so each element gets the same
+bits as a whole-array update would give it.  A step writes the new values
+into a fresh array and rebinds ``p.data`` once: an array that a caller took
+from ``p.data`` before the step keeps its values.  The moments are updated
+in place.  A gradient may have any memory layout: this module is the one
+place that copies a strided gradient to C order.
 """
 
 from __future__ import annotations
@@ -15,11 +24,40 @@ from .errors import ConfigError, GraphError, ShapeError
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
+# Elements per block of the update.  The update is memory-bound: run on whole
+# arrays, each of its ~15 numpy operations streams an array of up to 16.8 MB
+# through main memory.  A block of p, g, m, v and the new values, plus the few
+# temporaries alive at once, is about 1 MiB in float32 and stays in a 2 MiB
+# L2 cache, so each element leaves main memory once per array.  Blocks of
+# 4096 elements gain nothing, as per-call overhead grows; 16K to 64K do alike.
+_BLOCK = 1 << 15
+
+# Side of the square tiles in which a transposed 2-d gradient (the weight
+# gradient of a 1x1 convolution) is copied to C order.  numpy copies it row by
+# row, and each element of a row then lies on another page; tile by tile, each
+# page visited supplies 128 elements.  A (4096, 1024) float32 gradient copies
+# in about 12 ms instead of 28 ms; at (512, 512), which fits in L2, both take
+# about 0.6 ms.  Tiles of 32 or 256 are slower.
+_TILE = 128
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a`` in C order as a 1-d array: a view when ``a`` is C-contiguous,
+    else a copy."""
+    if a.ndim != 2 or a.flags.c_contiguous:
+        return a.reshape(-1)
+    out = np.empty(a.shape, a.dtype)
+    for r in range(0, a.shape[0], _TILE):
+        for c in range(0, a.shape[1], _TILE):
+            out[r:r + _TILE, c:c + _TILE] = a[r:r + _TILE, c:c + _TILE]
+    return out.reshape(-1)
+
 
 @dataclass
 class OptimizerState:
     """First/second moment estimates keyed by parameter name, plus the
-    shared step counter (starts at 0, incremented once per step)."""
+    shared step counter (starts at 0, incremented once per step).  Each
+    moment is a C-contiguous array of its parameter's shape and dtype."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -31,32 +69,46 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
     """One update: bias-corrected Adam moments plus decoupled decay.
 
     Decay multiplies the pre-update parameter by (1 - lr * wd); it never
-    enters the moment estimates.  Gradients must be populated.
+    enters the moment estimates.  Every gradient must be populated and of its
+    parameter's shape; all are checked before anything changes, so a step
+    that raises leaves the parameters, moments and step counter as they were.
+    Each parameter is updated block by block (see ``_BLOCK``) into a new
+    array, which then replaces ``p.data``.
     """
+    for name, p in params.items():
+        if p.grad is None:
+            raise GraphError(f"parameter {name!r} has no gradient")
+        if p.grad.shape != p.shape:
+            raise ShapeError(f"gradient shape {p.grad.shape} != parameter shape {p.shape} ({name})")
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
+    decay = 1.0 - lr * weight_decay
     for name, p in params.items():
-        g = p.grad
-        if g is None:
-            raise GraphError(f"parameter {name!r} has no gradient")
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} ({name})")
         m = state.m.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
+            m = np.zeros(p.shape, p.dtype)
+            v = np.zeros(p.shape, p.dtype)
             state.m[name] = m
             state.v[name] = v
         else:
             v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-        p.data = p.data * (1.0 - lr * weight_decay) - lr * update
+        new = np.empty(p.shape, p.dtype)
+        # new, m and v are C-contiguous, so their flat forms are views that the
+        # blocks write through; a strided gradient is copied here
+        flat_p, flat_g, flat_new = _flat(p.data), _flat(p.grad), new.reshape(-1)
+        flat_m, flat_v = m.reshape(-1), v.reshape(-1)
+        for start in range(0, flat_p.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            g, mb, vb = flat_g[block], flat_m[block], flat_v[block]
+            mb *= BETA1
+            mb += (1.0 - BETA1) * g
+            vb *= BETA2
+            vb += (1.0 - BETA2) * (g * g)
+            update = (mb / bc1) / (np.sqrt(vb / bc2) + EPS)
+            np.subtract(flat_p[block] * decay, lr * update, out=flat_new[block])
+        p.data = new
 
 
 class AdamW:
@@ -74,10 +126,30 @@ class AdamW:
         return self.state.m, self.state.v, self.state.step
 
     def load_state(self, m: dict, v: dict, step: int) -> None:
-        for name, p in self.params.items():
-            if name in m:
-                self.state.m[name] = np.ascontiguousarray(m[name], dtype=p.dtype)
-                self.state.v[name] = np.ascontiguousarray(v[name], dtype=p.dtype)
+        """Resume from exported moments and step counter.
+
+        ``m`` and ``v`` each hold an entry of the parameter's shape for every
+        parameter and no other, or are both empty (a state before the first
+        step); anything else is a ``ConfigError`` and changes nothing.  The
+        moments are copied, so later steps never write into the caller's
+        arrays.
+        """
+        if m or v:
+            for label, moments in (("m", m), ("v", v)):
+                missing = sorted(set(self.params) - set(moments))
+                extra = sorted(set(moments) - set(self.params))
+                if missing or extra:
+                    raise ConfigError(f"moment {label} does not match the parameters: "
+                                      f"missing {missing}, unexpected {extra}")
+                for name, p in self.params.items():
+                    shape = np.shape(moments[name])
+                    if shape != p.shape:
+                        raise ConfigError(f"moment {label}[{name!r}] has shape {shape}, "
+                                          f"expected {p.shape}")
+        self.state.m = {name: np.array(m[name], dtype=p.dtype, order="C")
+                        for name, p in self.params.items() if name in m}
+        self.state.v = {name: np.array(v[name], dtype=p.dtype, order="C")
+                        for name, p in self.params.items() if name in v}
         self.state.step = int(step)
 
 

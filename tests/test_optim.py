@@ -5,7 +5,16 @@ import pytest
 
 from waveray.autodiff import Tensor, precision
 from waveray.errors import ConfigError, GraphError, ShapeError
-from waveray.optim import AdamW, OptimizerState, adamw_step, one_cycle_cosine_lr
+from waveray.optim import (
+    _BLOCK,
+    BETA1,
+    BETA2,
+    EPS,
+    AdamW,
+    OptimizerState,
+    adamw_step,
+    one_cycle_cosine_lr,
+)
 
 
 def reference_adamw(history, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
@@ -123,6 +132,98 @@ class TestAdamW:
             opt3.load_state(m, v, step)
             run(2, opt3, p3, 2)
         np.testing.assert_allclose(p3.data, p1.data, atol=1e-15)
+
+
+def whole_array_adamw(p, g, m, v, t, lr, wd):
+    """The update as whole-array numpy operations, in the order the blocked
+    update runs them; returns the new parameter and updates m and v in place."""
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    return p * (1.0 - lr * wd) - lr * update
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("mode", ["single", "double"])
+    def test_blocks_match_whole_array_update(self, rng, mode):
+        """Three blocks and a ragged tail, with a transposed gradient whose
+        sides are not multiples of the copy's tile."""
+        shape = (131, 3 * _BLOCK // 131 + 1)
+        assert 3 * _BLOCK < shape[0] * shape[1] < 4 * _BLOCK
+        with precision(mode):
+            p = Tensor(rng.normal(size=shape), requires_grad=True)
+            want_p = p.data.copy()
+            want_m = np.zeros_like(want_p)
+            want_v = np.zeros_like(want_p)
+            state = OptimizerState()
+            for t, lr in enumerate((1e-2, 3e-3, 1e-3), start=1):
+                p.grad = rng.normal(size=shape[::-1]).astype(p.dtype).T
+                assert not p.grad.flags.c_contiguous
+                adamw_step({"p": p}, state, lr=lr, weight_decay=0.05)
+                want_p = whole_array_adamw(want_p, p.grad, want_m, want_v, t, lr, 0.05)
+        assert p.data.dtype == want_p.dtype
+        assert np.array_equal(p.data, want_p)
+        assert np.array_equal(state.m["p"], want_m)
+        assert np.array_equal(state.v["p"], want_v)
+
+    def test_step_rebinds_and_leaves_held_arrays_alone(self):
+        p = Tensor(np.ones(2 * _BLOCK + 5), requires_grad=True)
+        held = p.data
+        p.grad = np.ones_like(held)
+        adamw_step({"p": p}, OptimizerState(), lr=0.1, weight_decay=0.05)
+        assert p.data is not held
+        assert not np.shares_memory(p.data, held)
+        assert np.all(held == 1.0)
+        assert np.all(p.data < 1.0)
+
+
+class TestFailedStep:
+    @pytest.mark.parametrize("grad, error", [(None, GraphError), (np.ones(3), ShapeError)])
+    def test_failed_step_changes_nothing(self, grad, error):
+        first = Tensor(np.ones(2), requires_grad=True)
+        second = Tensor(np.ones(2), requires_grad=True)
+        first.grad = np.ones(2, dtype=first.dtype)
+        second.grad = grad
+        state = OptimizerState()
+        with pytest.raises(error, match="second"):
+            adamw_step({"first": first, "second": second}, state, lr=0.1, weight_decay=0.0)
+        assert state.step == 0
+        assert state.m == {} and state.v == {}
+        assert np.all(first.data == 1.0)
+
+
+class TestLoadState:
+    def test_loaded_moments_are_copies(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        m, v = {"p": np.zeros(3, dtype=p.dtype)}, {"p": np.zeros(3, dtype=p.dtype)}
+        opt = AdamW({"p": p})
+        opt.load_state(m, v, 0)
+        p.grad = np.ones(3, dtype=p.dtype)
+        opt.step(0.1)
+        assert np.all(m["p"] == 0.0) and np.all(v["p"] == 0.0)
+        assert np.all(opt.state.m["p"] != 0.0)
+
+    @pytest.mark.parametrize("m, v, match", [
+        ({"p": np.zeros(3)}, {}, "moment v.*missing \\['p'\\]"),
+        ({}, {"p": np.zeros(3)}, "moment m.*missing \\['p'\\]"),
+        ({"p": np.zeros(3), "q": np.zeros(3)}, {"p": np.zeros(3)}, "unexpected \\['q'\\]"),
+        ({"p": np.zeros(3)}, {"p": np.zeros(4)}, "moment v\\['p'\\] has shape \\(4,\\)"),
+        ({"p": np.zeros((3, 1))}, {"p": np.zeros(3)}, "moment m\\['p'\\] has shape"),
+    ], ids=["v-missing", "m-missing", "unexpected", "v-shape", "m-shape"])
+    def test_bad_moments_rejected_at_load(self, m, v, match):
+        opt = AdamW({"p": Tensor(np.ones(3), requires_grad=True)})
+        with pytest.raises(ConfigError, match=match):
+            opt.load_state(m, v, 2)
+        assert opt.state.step == 0 and opt.state.m == {}
+
+    def test_state_before_first_step_round_trips(self):
+        opt = AdamW({"p": Tensor(np.ones(3), requires_grad=True)})
+        opt.load_state(*AdamW(opt.params).export_state())
+        assert opt.state.step == 0 and opt.state.m == {} and opt.state.v == {}
 
 
 class TestSchedule:
