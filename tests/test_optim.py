@@ -175,7 +175,6 @@ class TestBlockWalk:
         held = p.data
         p.grad = np.ones_like(held)
         adamw_step({"p": p}, OptimizerState(), lr=0.1, weight_decay=0.05)
-        assert p.data is not held
         assert not np.shares_memory(p.data, held)
         assert np.all(held == 1.0)
         assert np.all(p.data < 1.0)
