@@ -160,6 +160,20 @@ class Module:
                     yield from obj._walk(path, seen)
 
 
+def check_state(label: str, params: dict, arrays: dict) -> None:
+    """Raise ``ConfigError`` unless ``arrays`` holds an entry of each parameter's
+    name and shape, and no other; ``label`` names the arrays in the message."""
+    missing = sorted(set(params) - set(arrays))
+    extra = sorted(set(arrays) - set(params))
+    if missing or extra:
+        raise ConfigError(f"{label} does not match the parameters: "
+                          f"missing {missing}, unexpected {extra}")
+    for name, p in params.items():
+        shape = np.shape(arrays[name])
+        if shape != p.shape:
+            raise ConfigError(f"{label}[{name!r}] has shape {shape}, expected {p.shape}")
+
+
 class LayerNorm(Module):
     """Per-channel gain (ones) and shift (zeros) for :func:`layer_norm`."""
 

@@ -212,20 +212,12 @@ class WavePool(Module):
         return self.norm.forward(pointwise_conv(fused, self.mix))
 
 
-class FeaturePyramid:
-    """Stage outputs of one forward pass, shallow to deep."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: list[tuple[int, Tensor]]):
-        self.entries = entries
+class FeaturePyramid(list):
+    """(stage, map) pairs of one forward pass, shallow to deep."""
 
     @property
     def deepest(self) -> Tensor:
-        return self.entries[-1][1]
-
-    def __iter__(self):
-        return iter(self.entries)
+        return self[-1][1]
 
 
 class _RefinementStage(Module):
@@ -251,7 +243,6 @@ class Backbone(Module):
     def __init__(self, cfg: BackboneConfig, rng, rays: int = 0, n_origins: int = 12,
                  shared_field: RayField = None):
         cfg.validate()
-        self.cfg = cfg
         self.stem = Stem(cfg.stem_channels, rng)
         ec = tuple(cfg.extraction_channels)
         self.extracts = [ExtractStage(ec[0], ec[1], rng), ExtractStage(ec[1], ec[2], rng)]
@@ -267,7 +258,7 @@ class Backbone(Module):
         x = self.stem.forward(images)
         for stage in self.extracts:
             x = stage.forward(x)
-        entries = []
+        pyramid = FeaturePyramid()
         maps = []
         for i, stage in enumerate(self.stages):
             for block in stage.blocks:
@@ -276,7 +267,7 @@ class Backbone(Module):
                 x, amap = ray.forward(x)
                 maps.append(amap)
             if i < len(self.stages) - 1:
-                entries.append((i, x))
+                pyramid.append((i, x))
             x = stage.pool.forward(x)
-        entries.append((i, x))  # the last stage's entry is its pooled map
-        return FeaturePyramid(entries), maps
+        pyramid.append((i, x))  # the last stage's entry is its pooled map
+        return pyramid, maps

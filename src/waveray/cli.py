@@ -191,7 +191,7 @@ def cmd_gradcheck(args) -> int:
             status = "ok" if err <= args.tol else "FAIL"
             print(f"{scope:6s} {probe:20s} {input_name:24s} {err:12.3e} {status}")
             worst = max(worst, err)
-            failed = failed or err > args.tol
+            failed = failed or status == "FAIL"
     print(f"worst relative error: {worst:.3e} (tolerance {args.tol:g})")
     if failed:
         print("gradient check FAILED", file=sys.stderr)
@@ -218,8 +218,8 @@ def cmd_export_maps(args) -> int:
         raise DataError(f"attenuation maps of ray layer {args.layer} hold NaN or Inf")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    export_map(amap.combined_image(), out_dir / "combined.pgm")
-    for i, image in enumerate(amap.per_origin_images()):
+    export_map(amap.combined.data.reshape(amap.extents), out_dir / "combined.pgm")
+    for i, image in enumerate(amap.per_origin.data.reshape(-1, *amap.extents)):
         export_map(image, out_dir / f"origin_{i:02d}.pgm")
     write_origin_csv(out_dir / "origins.csv", origin_rows(model, state.epoch))
     print(out_dir)
@@ -320,10 +320,7 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except WaverayError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (WaverayError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

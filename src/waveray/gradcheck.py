@@ -7,12 +7,13 @@ central differences.  The relative error metric is
 
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
 
-and a probe passes when its worst sampled coordinate stays below the
-tolerance.  Probes that sit on a kink for an unlucky draw (GELU near 0,
-distances near coincidence) are redrawn up to three times.
+with differences of step ``STEP``.  A probe passes when its worst sampled
+coordinate stays within the tolerance; a non-finite error (a NaN gradient)
+counts as infinite.  Probes that sit on a kink for an unlucky draw (GELU
+near 0, distances near coincidence) get up to ``ATTEMPTS`` draws.
 
 Model parameters are far too numerous to difference exhaustively; probes
-sample a handful of coordinates per tensor, which is what makes the whole
+sample ``N_SAMPLES`` coordinates per tensor, which is what makes the whole
 suite finish in seconds while still touching every backward rule.
 """
 
@@ -40,7 +41,9 @@ from .model import ModelConfig, WaveletClassifier, cross_entropy
 from .rays import RayEncoder, RayField, RayLayer, attenuation, distance_matrix, pixel_grid, psf, spectral_modulate
 
 DEFAULT_TOL = 1e-4
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
+N_SAMPLES = 8
+ATTEMPTS = 3
 
 
 def _weighted(out: Tensor, weights) -> Tensor:
@@ -48,8 +51,7 @@ def _weighted(out: Tensor, weights) -> Tensor:
     return out if weights is None else ad.reduce_sum(ad.mul(out, weights))
 
 
-def finite_diff_check(builder, seed: int = 0, n_samples: int = 8, step: float = DEFAULT_STEP,
-                      tol: float = DEFAULT_TOL, attempts: int = 3) -> dict[str, float]:
+def finite_diff_check(builder, seed: int = 0, tol: float = DEFAULT_TOL) -> dict[str, float]:
     """Check one probe; returns worst relative error per input name.
 
     ``builder(rng)`` returns ``(run, inputs)`` where ``run()`` recomputes the
@@ -60,7 +62,7 @@ def finite_diff_check(builder, seed: int = 0, n_samples: int = 8, step: float = 
     """
     last: dict[str, float] = {}
     with precision("double"):
-        for attempt in range(attempts):
+        for attempt in range(ATTEMPTS):
             rng = np.random.default_rng(seed + 1000 * attempt)
             run, inputs = builder(rng)
             for t in inputs.values():
@@ -77,20 +79,20 @@ def finite_diff_check(builder, seed: int = 0, n_samples: int = 8, step: float = 
                     continue
                 flat = t.data.reshape(-1)
                 grad = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
-                count = min(n_samples, flat.size)
+                count = min(N_SAMPLES, flat.size)
                 picks = coord_rng.choice(flat.size, size=count, replace=False)
                 worst = 0.0
                 for i in picks:
                     saved = flat[i]
-                    flat[i] = saved + step
+                    flat[i] = saved + STEP
                     up = _weighted(run(), weights).item()
-                    flat[i] = saved - step
+                    flat[i] = saved - STEP
                     down = _weighted(run(), weights).item()
                     flat[i] = saved
-                    numeric = (up - down) / (2.0 * step)
+                    numeric = (up - down) / (2.0 * STEP)
                     analytic = float(grad[i])
                     err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-                    worst = max(worst, err)
+                    worst = max(worst, err if np.isfinite(err) else np.inf)
                 report[name] = worst
             last = report
             if all(v <= tol for v in report.values()):
@@ -281,16 +283,17 @@ MODEL_PROBES = [("classifier", _probe_model)]
 _SCOPES = {"op": OP_PROBES, "block": BLOCK_PROBES, "model": MODEL_PROBES}
 
 
-def run_scope(scope: str, seed: int = 0, tol: float = DEFAULT_TOL,
-              n_samples: int = 8) -> list[tuple[str, str, float]]:
+def run_scope(scope: str, seed: int = 0, tol: float = DEFAULT_TOL) -> list[tuple[str, str, float]]:
     """Run every probe of a scope; returns (probe, input, worst error) rows."""
     if scope not in _SCOPES:
         raise ConfigError(f"scope must be one of {sorted(_SCOPES)}, got {scope!r}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"tolerance must be a finite number above 0, got {tol}")
     rows = []
     for name, builder in _SCOPES[scope]:
-        report = finite_diff_check(builder, seed=seed, tol=tol, n_samples=n_samples)
+        report = finite_diff_check(builder, seed=seed, tol=tol)
         for input_name, err in sorted(report.items()):
             rows.append((name, input_name, err))
     return rows

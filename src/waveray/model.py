@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Affine, Module, Tensor, _as_tensor, _record_op
+from .autodiff import Affine, Module, Tensor, _as_tensor, _record_op, check_state
 from .backbone import Backbone, BackboneConfig
 from .errors import ConfigError, DataError, ShapeError
 from .rays import RayEncoder, RayField
@@ -41,11 +41,13 @@ class ModelConfig:
         if self.n_origins < 1:
             raise ConfigError(f"n_origins must be positive, got {self.n_origins}")
         # stem /2, extraction /4, then one halving per refinement stage
-        # except the last: the input must survive every decimation evenly.
+        # except the last: the input must survive every decimation evenly,
+        # and the deepest map needs 2 pixels for the filters' symmetric padding.
         divisor = 8 * (2 ** (self.backbone.refinement_stages - 1))
-        if self.input_extent < 14 or self.input_extent % divisor:
+        if self.input_extent < 2 * divisor or self.input_extent % divisor:
             raise ConfigError(
-                f"input extent {self.input_extent} is not a multiple of {divisor}"
+                f"input extent {self.input_extent} must be a multiple of {divisor} "
+                f"and at least {2 * divisor}"
             )
 
     def to_dict(self) -> dict:
@@ -179,17 +181,10 @@ class WaveletClassifier(Module):
         return {name: p.data for name, p in self._params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = sorted(set(self._params) - set(arrays))
-        extra = sorted(set(arrays) - set(self._params))
-        if missing or extra:
-            raise ConfigError(f"parameter set mismatch: missing {missing}, unexpected {extra}")
+        """Copy in each parameter's array; a bad set raises and changes nothing."""
+        check_state("state", self._params, arrays)
         for name, p in self._params.items():
-            arr = np.asarray(arrays[name])
-            if arr.shape != p.shape:
-                raise ConfigError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {p.shape}"
-                )
-            p.data = np.ascontiguousarray(arr, dtype=p.dtype)
+            p.data = np.ascontiguousarray(arrays[name], dtype=p.dtype)
             p.grad = None
 
     def ray_fields(self) -> list[RayField]:

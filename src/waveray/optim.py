@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, check_state
 from .errors import ConfigError, GraphError, ShapeError
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -135,17 +135,8 @@ class AdamW:
         arrays.
         """
         if m or v:
-            for label, moments in (("m", m), ("v", v)):
-                missing = sorted(set(self.params) - set(moments))
-                extra = sorted(set(moments) - set(self.params))
-                if missing or extra:
-                    raise ConfigError(f"moment {label} does not match the parameters: "
-                                      f"missing {missing}, unexpected {extra}")
-                for name, p in self.params.items():
-                    shape = np.shape(moments[name])
-                    if shape != p.shape:
-                        raise ConfigError(f"moment {label}[{name!r}] has shape {shape}, "
-                                          f"expected {p.shape}")
+            check_state("moment m", self.params, m)
+            check_state("moment v", self.params, v)
         self.state.m = {name: np.array(m[name], dtype=p.dtype, order="C")
                         for name, p in self.params.items() if name in m}
         self.state.v = {name: np.array(v[name], dtype=p.dtype, order="C")

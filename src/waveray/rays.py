@@ -22,6 +22,7 @@ so gradients flow to the field.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,31 +41,23 @@ def init_origins(n: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
+class PixelGrid(NamedTuple):
+    """Row-major normalized pixel centers: index i*W + j holds (x_j, y_i)."""
+
+    coords: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _grid_coords(h: int, w: int) -> np.ndarray:
+def pixel_grid(h: int, w: int) -> PixelGrid:
+    """The h x w grid, built once per extent pair; its coords are read-only."""
+    if h < 1 or w < 1:
+        raise ShapeError(f"grid extents must be positive, got {h}x{w}")
     xs = np.linspace(-1.0, 1.0, w) if w > 1 else np.zeros(1)
     ys = np.linspace(-1.0, 1.0, h) if h > 1 else np.zeros(1)
     xx, yy = np.meshgrid(xs, ys)
     coords = np.stack([xx.ravel(), yy.ravel()], axis=1)
     coords.setflags(write=False)
-    return coords
-
-
-class PixelGrid:
-    """Row-major normalized pixel centers: index i*W + j holds (x_j, y_i)."""
-
-    __slots__ = ("h", "w", "coords")
-
-    def __init__(self, h: int, w: int):
-        if h < 1 or w < 1:
-            raise ShapeError(f"grid extents must be positive, got {h}x{w}")
-        self.h = h
-        self.w = w
-        self.coords = _grid_coords(h, w)
-
-
-def pixel_grid(h: int, w: int) -> PixelGrid:
-    return PixelGrid(h, w)
+    return PixelGrid(coords)
 
 
 def distance_matrix(origins, coords) -> Tensor:
@@ -126,12 +119,6 @@ class RayField(Module):
     def n(self) -> int:
         return self.origins.shape[0]
 
-    def sigma(self) -> Tensor:
-        return ad.exp(self.log_sigma)
-
-    def alpha(self) -> Tensor:
-        return ad.exp(self.log_alpha)
-
     def attenuation_map(self, h: int, w: int) -> "AttenuationMap":
         """The field's emphasis maps over an h x w pixel grid.
 
@@ -165,23 +152,12 @@ class RayField(Module):
         return amap
 
 
-class AttenuationMap:
+class AttenuationMap(NamedTuple):
     """Per-origin emphasis maps plus their combination, with grid extents."""
 
-    __slots__ = ("per_origin", "combined", "extents")
-
-    def __init__(self, per_origin: Tensor, combined: Tensor, extents: tuple[int, int]):
-        self.per_origin = per_origin
-        self.combined = combined
-        self.extents = extents
-
-    def combined_image(self) -> np.ndarray:
-        h, w = self.extents
-        return self.combined.data.reshape(h, w)
-
-    def per_origin_images(self) -> np.ndarray:
-        h, w = self.extents
-        return self.per_origin.data.reshape(-1, h, w)
+    per_origin: Tensor
+    combined: Tensor
+    extents: tuple[int, int]
 
 
 def attenuation(dist, field: RayField, extents: tuple[int, int]) -> AttenuationMap:
@@ -197,8 +173,8 @@ def attenuation(dist, field: RayField, extents: tuple[int, int]) -> AttenuationM
     if extents[0] * extents[1] != m:
         raise ShapeError(f"extents {extents} do not cover {m} pixels")
 
-    kmap = psf(dist, field.sigma())
-    alpha_col = ad.reshape(field.alpha(), (n, 1))
+    kmap = psf(dist, ad.exp(field.log_sigma))
+    alpha_col = ad.reshape(ad.exp(field.log_alpha), (n, 1))
     decay = ad.exp(ad.neg(ad.mul(alpha_col, dist)))
     logits = ad.mul(ad.mul(kmap, decay), ad.reshape(field.beta, (1, 1)))
     per_origin = ad.softmax(logits, axis=1)
@@ -279,7 +255,6 @@ class RayEncoder(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         if n_layers < 0:
             raise ConfigError(f"layer count must be nonnegative, got {n_layers}")
-        self.d_model = d_model
         self.proj = Affine(rng.normal(0.0, np.sqrt(2.0 / in_channels), (d_model, in_channels)),
                            d_model)
         self.layers = [RayLayer(d_model, n_origins=n_origins, rng=rng) for _ in range(n_layers)]

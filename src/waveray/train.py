@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -210,8 +210,7 @@ def _save(model, opt: AdamW, cfg: TrainConfig, rng, epoch: int, path) -> None:
         epoch=epoch,
         rng_state=rng.bit_generator.state,
         precision=get_precision(),
-        extra={"train": {"epochs": cfg.epochs, "batch_size": cfg.batch_size,
-                         "peak_lr": cfg.peak_lr, "weight_decay": cfg.weight_decay,
-                         "warmup_fraction": cfg.warmup_fraction, "seed": cfg.seed}},
+        extra={"train": {k: v for k, v in asdict(cfg).items()
+                         if k not in ("precision", "checkpoint_every")}},
     )
     save_checkpoint(path, state)

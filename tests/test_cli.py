@@ -140,6 +140,14 @@ class TestTrain:
         assert code == 1
         assert "extent" in capsys.readouterr().err
 
+    def test_one_pixel_deepest_map_is_rejected_before_writing(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run_cli("train", "--data", synth_dir, "--out", out,
+                       "--epochs", 1, "--set", "classes=2", "--set", "input_extent=16")
+        assert code == 1
+        assert "at least 32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_superset_class_count_is_allowed(self, synth_dir, tmp_path, capsys):
         # a head wider than the labels present is legal; the reverse is
         # caught by the loader and exercised in the data tests
@@ -332,6 +340,11 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "FAILED" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_unusable_tolerance_is_a_usage_error(self, tol, capsys):
+        assert run_cli("gradcheck", "--scope", "op", "--tol", tol) == 1
+        assert capsys.readouterr().err.startswith("error: tolerance")
 
     def test_all_runs_every_scope_in_table_order(self, monkeypatch):
         calls = []

@@ -115,9 +115,20 @@ class TestChecker:
                 x = Tensor(rng.uniform(1.0, 2.0, size=4), requires_grad=True)
             return lambda: ad.reduce_sum(rectify(x)), {"x": x}
 
-        report = finite_diff_check(probe, seed=0, attempts=3)
+        report = finite_diff_check(probe, seed=0)
         assert len(calls) >= 2
         assert report["x"] < 1e-6
+
+    def test_nan_gradient_fails(self):
+        def doubled(x):
+            """2x, with a backward that returns NaN."""
+            return _record_op(x.data * 2.0, (x,), lambda g: (g * np.nan,))
+
+        def probe(rng):
+            x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+            return lambda: ad.reduce_sum(doubled(x)), {"x": x}
+
+        assert finite_diff_check(probe, seed=0) == {"x": np.inf}
 
 
 class TestOpProbe:

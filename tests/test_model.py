@@ -37,10 +37,24 @@ class TestModelConfig:
 
     def test_extent_must_survive_decimation(self):
         # desk backbone decimates by 16 overall
-        for extent in (8, 24, 40):
+        for extent in (8, 16, 24, 40):
             with pytest.raises(ConfigError, match="extent"):
                 desk_config(input_extent=extent).validate()
         desk_config(input_extent=48).validate()
+
+    @pytest.mark.parametrize("stages, extent", [(1, 16), (2, 32), (3, 64)])
+    def test_smallest_admitted_extent_runs(self, stages, extent, rng):
+        cfg = desk_config(rays=3, classes=2)
+        cfg.backbone.refinement_stages = stages
+        cfg.backbone.refinement_channels = (16, 32, 64, 128)[:stages + 1]
+        for smaller in range(8, extent, 8):
+            cfg.input_extent = smaller
+            with pytest.raises(ConfigError, match="extent"):
+                cfg.validate()
+        cfg.input_extent = extent
+        logits = WaveletClassifier(cfg, seed=0).forward(
+            Tensor(rng.normal(size=(1, 3, extent, extent))))
+        assert logits.shape == (1, 2) and np.isfinite(logits.data).all()
 
     def test_dict_round_trip(self):
         # through JSON, as a checkpoint stores it: tuples come back as lists
@@ -207,6 +221,22 @@ class TestClassifier:
         arrays["head.b"] = np.zeros(5)
         with pytest.raises(ConfigError, match="head.b"):
             model.load_state(arrays)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda a: a.pop("head.b"), "state.*missing \\['head.b'\\]"),
+        (lambda a: a.update(bogus=np.zeros(3)), "unexpected \\['bogus'\\]"),
+        (lambda a: a.update({"head.b": np.zeros(4)}), "state\\['head.b'\\] has shape \\(4,\\)"),
+        (lambda a: a.update({"head.w": np.zeros((3, 64))}), "state\\['head.w'\\] has shape"),
+    ], ids=["missing", "unexpected", "b-shape", "w-shape"])
+    def test_bad_state_rejected_at_load(self, edit, match):
+        model = WaveletClassifier(desk_config(rays=0), seed=0)
+        before = {k: v.copy() for k, v in model.state_arrays().items()}
+        arrays = {k: v + 1.0 for k, v in before.items()}
+        edit(arrays)
+        with pytest.raises(ConfigError, match=match):
+            model.load_state(arrays)
+        for name, arr in model.state_arrays().items():
+            np.testing.assert_array_equal(arr, before[name])
 
     def test_end_to_end_gradients(self, rng):
         model = WaveletClassifier(desk_config(rays=1), seed=0)

@@ -58,6 +58,16 @@ class TestPixelGrid:
         g = pixel_grid(1, 4)
         np.testing.assert_allclose(g.coords[:, 1], np.zeros(4))
 
+    def test_repeat_calls_share_one_read_only_array(self):
+        coords = pixel_grid(3, 5).coords
+        assert pixel_grid(3, 5).coords is coords
+        assert not coords.flags.writeable
+
+    @pytest.mark.parametrize("h, w", [(0, 3), (3, 0), (-1, 2)])
+    def test_empty_extent_rejected(self, h, w):
+        with pytest.raises(ShapeError, match="positive"):
+            pixel_grid(h, w)
+
 
 class TestDistanceMatrix:
     def test_matches_pairwise_loop(self, rng):
@@ -170,8 +180,9 @@ class TestAttenuation:
         field = RayField(3)
         field.log_sigma.data = np.array([-40.0, 0.0, 35.0], dtype=np.float32)
         field.log_alpha.data = np.array([12.0, -7.0, 0.0], dtype=np.float32)
-        assert np.all(field.sigma().data > 0)
-        assert np.all(field.alpha().data > 0)
+        amap = field.attenuation_map(4, 4)
+        assert np.isfinite(amap.per_origin.data).all() and np.isfinite(amap.combined.data).all()
+        np.testing.assert_allclose(amap.per_origin.data.sum(axis=1), np.ones(3), rtol=1e-6)
 
 
 def circular_conv_oracle(f, kernel):
