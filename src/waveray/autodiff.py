@@ -208,7 +208,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -220,10 +219,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def _record(self, out: Tensor, inputs: tuple, backward) -> None:
-        self.nodes.append(_Node(inputs, out, backward))
-        self._produced.add(id(out))
 
 
 def active_tape() -> Tape | None:
@@ -238,7 +233,8 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
-    if id(loss) not in tape._produced:
+    produced = {id(node.out) for node in tape.nodes}
+    if id(loss) not in produced:
         raise DetachedGraphError("loss was not produced by an op recorded on this tape")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -250,7 +246,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         for t, gi in zip(node.inputs, input_grads):
             if gi is None or not t.requires_grad:
                 continue
-            if id(t) in tape._produced:
+            if id(t) in produced:
                 acc = grads.get(id(t))
                 grads[id(t)] = gi if acc is None else acc + gi
             else:
@@ -268,7 +264,7 @@ def _record_op(out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     out = Tensor._from_op(np.asarray(out_data), requires)
     tape = active_tape()
     if requires and tape is not None:
-        tape._record(out, inputs, backward_fn)
+        tape.nodes.append(_Node(inputs, out, backward_fn))
     return out
 
 
@@ -420,13 +416,7 @@ def concat(tensors, axis: int) -> Tensor:
         ) from None
 
     def bw(g):
-        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-        pieces = []
-        for i in range(len(tensors)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            pieces.append(g[tuple(sl)])
-        return tuple(pieces)
+        return np.split(g, np.cumsum([t.shape[axis] for t in tensors[:-1]]), axis=axis)
 
     return _record_op(out, tuple(tensors), bw)
 

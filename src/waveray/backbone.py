@@ -220,19 +220,6 @@ class FeaturePyramid(list):
         return self[-1][1]
 
 
-class _RefinementStage(Module):
-    def __init__(self, cin: int, cout: int, cfg: BackboneConfig, rng, with_rays: bool,
-                 n_origins: int, shared_field: RayField, last: bool):
-        self.blocks = [
-            ModulationBlock(cin, rng, cfg.bottleneck_factor) for _ in range(cfg.blocks_per_stage)
-        ]
-        self.rays = [
-            RayLayer(cin, n_origins=n_origins, rng=rng, field=shared_field)
-            for _ in range(cfg.ray_layers_per_stage if with_rays else 0)
-        ]
-        self.pool = WavePool(cin, cout, rng, stride=1 if last else 2)
-
-
 class Backbone(Module):
     """Stem, extraction and refinement composed into one feature pyramid.
 
@@ -248,11 +235,15 @@ class Backbone(Module):
         self.extracts = [ExtractStage(ec[0], ec[1], rng), ExtractStage(ec[1], ec[2], rng)]
         rc = tuple(cfg.refinement_channels)
         last = cfg.refinement_stages - 1
-        self.stages = [
-            _RefinementStage(rc[i], rc[i + 1], cfg, rng, i < min(rays, 2), n_origins,
-                             shared_field, last=(i == last))
-            for i in range(cfg.refinement_stages)
-        ]
+        self.stages = []
+        for i in range(cfg.refinement_stages):
+            stage = Module()
+            stage.blocks = [ModulationBlock(rc[i], rng, cfg.bottleneck_factor)
+                            for _ in range(cfg.blocks_per_stage)]
+            stage.rays = [RayLayer(rc[i], rng, n_origins=n_origins, field=shared_field)
+                          for _ in range(cfg.ray_layers_per_stage if i < min(rays, 2) else 0)]
+            stage.pool = WavePool(rc[i], rc[i + 1], rng, stride=1 if i == last else 2)
+            self.stages.append(stage)
 
     def forward(self, images: Tensor) -> tuple[FeaturePyramid, list]:
         x = self.stem.forward(images)

@@ -272,12 +272,11 @@ def _read_records(r: _Reader, has_dtype: bool) -> tuple:
             raise CheckpointError(f"{path}: record {name!r} has unknown dtype code {code}")
         rank = head[-1]
         arr = r.array(_DTYPES[code], struct.unpack(f"<{rank}I", r.read(4 * rank)))
-        if name.startswith("opt.m/"):
-            opt_m[name[6:]] = arr
-        elif name.startswith("opt.v/"):
-            opt_v[name[6:]] = arr
-        else:
-            params[name] = arr
+        group, key = ((opt_m, name[6:]) if name.startswith("opt.m/") else
+                      (opt_v, name[6:]) if name.startswith("opt.v/") else (params, name))
+        if key in group:
+            raise CheckpointError(f"{path}: record {name!r} appears twice")
+        group[key] = arr
     if r.pos != r.end:
         raise CheckpointError(f"{path}: {r.end - r.pos} trailing bytes after records")
     return config, params, opt_m, opt_v

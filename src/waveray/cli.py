@@ -203,13 +203,7 @@ def cmd_export_maps(args) -> int:
     with _checkpoint_model(args.checkpoint) as (model, state):
         if model.config.rays < 1:
             raise ConfigError("checkpoint has no ray layers to export")
-        img = read_image(args.image)
-        if img.shape[1] != model.config.input_extent:
-            raise ConfigError(
-                f"image extent {img.shape[1]} does not match model input extent "
-                f"{model.config.input_extent}"
-            )
-        _, aux = model.forward_with_aux(Tensor(img[None]))
+        _, aux = model.forward_with_aux(Tensor(read_image(args.image)[None]))
     maps = aux["maps"]
     if not 0 <= args.layer < len(maps):
         raise ConfigError(f"layer must lie in [0, {len(maps)}), got {args.layer}")

@@ -9,6 +9,7 @@ inspection artifacts.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 _MAXVAL = 255
+_GAP = re.compile(rb"(?:\s|#[^\n]*\n)*")  # whitespace and comments; \s is bytes.isspace's six
+_NUMBER = re.compile(rb"\d+")
 
 
 def _parse_pnm_header(blob: bytes, path) -> tuple[bytes, int, int, int]:
@@ -28,25 +31,15 @@ def _parse_pnm_header(blob: bytes, path) -> tuple[bytes, int, int, int]:
         raise DataError(f"{path}: unsupported PNM magic {magic!r}")
     fields = []
     i = 2
-    while len(fields) < 3:
-        if i >= len(blob):
-            raise DataError(f"{path}: truncated header")
-        c = blob[i : i + 1]
-        if c == b"#":
-            j = blob.find(b"\n", i)
-            if j < 0:
-                raise DataError(f"{path}: truncated header comment")
-            i = j + 1
-        elif c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(blob) and blob[j : j + 1].isdigit():
-                j += 1
-            fields.append(int(blob[i:j]))
-            i = j
-        else:
+    for _ in range(3):
+        i = _GAP.match(blob, i).end()
+        field = _NUMBER.match(blob, i)
+        if field is None:
+            if blob[i : i + 1] in (b"", b"#"):  # the end, or a comment that runs into it
+                raise DataError(f"{path}: truncated header")
             raise DataError(f"{path}: malformed header near byte {i}")
+        fields.append(int(field[0]))
+        i = field.end()
     if i >= len(blob) or not blob[i : i + 1].isspace():
         raise DataError(f"{path}: missing whitespace after header")
     i += 1
@@ -83,25 +76,14 @@ def read_image(path) -> np.ndarray:
     return np.ascontiguousarray(img.transpose(2, 0, 1))
 
 
-def write_ppm(path, img: np.ndarray) -> None:
-    """Write an (H, W, 3) uint8 array as binary PPM."""
+def write_pnm(path, img: np.ndarray) -> None:
+    """Write an (H, W, 3) uint8 array as binary PPM, an (H, W) one as binary PGM."""
     img = np.asarray(img)
-    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
-        raise DataError(f"write_ppm wants (H, W, 3) uint8, got {img.shape} {img.dtype}")
+    if img.dtype != np.uint8 or img.ndim not in (2, 3) or img.shape[2:] not in ((), (3,)):
+        raise DataError(f"write_pnm wants (H, W, 3) or (H, W) uint8, got {img.shape} {img.dtype}")
     h, w = img.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n{_MAXVAL}\n".encode())
-        fh.write(img.tobytes())
-
-
-def write_pgm(path, img: np.ndarray) -> None:
-    """Write an (H, W) uint8 array as binary PGM."""
-    img = np.asarray(img)
-    if img.ndim != 2 or img.dtype != np.uint8:
-        raise DataError(f"write_pgm wants (H, W) uint8, got {img.shape} {img.dtype}")
-    h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{_MAXVAL}\n".encode())
+        fh.write(f"{'P6' if img.ndim == 3 else 'P5'}\n{w} {h}\n{_MAXVAL}\n".encode())
         fh.write(img.tobytes())
 
 
@@ -325,7 +307,7 @@ def synth_generate(spec: SyntheticSpec, out_dir) -> Path:
         for _ in range(spec.per_class):
             img = synth_render(spec, label, rng)
             rel = f"images/img_{index:05d}.ppm"
-            write_ppm(out_dir / rel, img)
+            write_pnm(out_dir / rel, img)
             rows.append(f"{rel},{label}")
             index += 1
     manifest = out_dir / "manifest.csv"
@@ -353,7 +335,7 @@ def export_map(array, path) -> None:
         scaled = (arr - lo) / (hi - lo) * _MAXVAL
     else:
         scaled = np.full_like(arr, _MAXVAL / 2.0)
-    write_pgm(path, scaled.round().astype(np.uint8))
+    write_pnm(path, scaled.round().astype(np.uint8))
 
 
 def write_origin_csv(path, rows) -> None:

@@ -228,8 +228,7 @@ class RayLayer(Module):
     """Residual block: spectral modulation by the ray map, then a
     channel-mixing MLP, both sub-blocks pre-normalized."""
 
-    def __init__(self, channels: int, n_origins: int = 12, rng=None, field: RayField = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, channels: int, rng, n_origins: int = 12, field: RayField = None):
         self.channels = channels
         self.field = field if field is not None else RayField(n_origins)
         self.norm1 = LayerNorm(channels)
@@ -250,14 +249,13 @@ class RayEncoder(Module):
     """Projects the deepest pyramid map down to the token width, applies a
     stack of ray layers and emits a row-major token sequence."""
 
-    def __init__(self, in_channels: int, d_model: int = 256, n_layers: int = 3,
-                 n_origins: int = 12, rng=None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, in_channels: int, rng, d_model: int = 256, n_layers: int = 3,
+                 n_origins: int = 12):
         if n_layers < 0:
             raise ConfigError(f"layer count must be nonnegative, got {n_layers}")
         self.proj = Affine(rng.normal(0.0, np.sqrt(2.0 / in_channels), (d_model, in_channels)),
                            d_model)
-        self.layers = [RayLayer(d_model, n_origins=n_origins, rng=rng) for _ in range(n_layers)]
+        self.layers = [RayLayer(d_model, rng, n_origins=n_origins) for _ in range(n_layers)]
 
     def forward(self, deepest: Tensor) -> tuple[Tensor, list[AttenuationMap]]:
         x = pointwise_conv(deepest, self.proj.w, self.proj.b)

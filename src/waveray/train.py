@@ -188,13 +188,15 @@ def train(model: WaveletClassifier, dataset: Dataset, cfg: TrainConfig, out_dir=
         metric_lines.append(line)
         print(f"[epoch {epoch}/{cfg.epochs}] {line}", file=log)
         origins += origin_rows(model, epoch)
-        if out_dir is not None and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            _save(model, opt, cfg, rng, epoch, out_dir / f"checkpoint_{epoch:05d}.wrnc")
+        if out_dir is not None:
+            # rewritten every epoch, so a run that diverges later keeps the epochs it finished
+            (out_dir / "metrics.csv").write_text("\n".join(metric_lines) + "\n", encoding="utf-8")
+            if origins:
+                write_origin_csv(out_dir / "origins.csv", origins)
+            if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
+                _save(model, opt, cfg, rng, epoch, out_dir / f"checkpoint_{epoch:05d}.wrnc")
 
     if out_dir is not None:
-        (out_dir / "metrics.csv").write_text("\n".join(metric_lines) + "\n", encoding="utf-8")
-        if origins:
-            write_origin_csv(out_dir / "origins.csv", origins)
         _save(model, opt, cfg, rng, cfg.epochs, out_dir / "checkpoint_final.wrnc")
     return history
 

@@ -289,6 +289,22 @@ class TestCorruption:
             with pytest.raises(CheckpointError, match="bad record name"):
                 load_checkpoint(p)
 
+    @pytest.mark.parametrize("name", ["w", "opt.m/w", "opt.v/w"])
+    def test_repeated_record_name_rejected(self, tmp_path, name):
+        """A second record of one name is an error, not a silent overwrite of
+        the first, even under a matching digest."""
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, CheckpointState({}, {}))
+        blob = p.read_bytes()
+        assert blob[-12:-8] == struct.pack("<I", 0)  # the record count
+        name_b = name.encode()
+        record = struct.pack("<H", len(name_b)) + name_b + struct.pack("<BBI", 0, 1, 2)
+        body = (blob[8:-12] + struct.pack("<I", 2) + record + np.ones(2, "<f4").tobytes()
+                + record + np.full(2, 7, "<f4").tobytes())
+        p.write_bytes(forge(VERSION, body))
+        with pytest.raises(CheckpointError, match=f"record '{name}' appears twice"):
+            load_checkpoint(p)
+
     def test_rank_beyond_numpy_is_an_error(self, tmp_path):
         """65 unit extents make a 4-byte payload numpy cannot shape."""
         p = tmp_path / "ck.wrnc"

@@ -10,7 +10,7 @@ from waveray import cli
 from waveray.autodiff import get_precision, precision
 from waveray.checkpoint import MAGIC, CheckpointState, load_checkpoint, save_checkpoint
 from waveray.cli import _checkpoint_model, build_configs, main, parse_config_file
-from waveray.data import load_dataset
+from waveray.data import load_dataset, write_pnm
 from waveray.errors import ConfigError
 from waveray.gradcheck import _SCOPES
 from waveray.model import ModelConfig, WaveletClassifier, desk_config
@@ -414,6 +414,16 @@ class TestExportMaps:
                        "--image", image, "--out", tmp_path / "m", "--layer", 7)
         assert code == 1
         assert "layer" in capsys.readouterr().err
+
+    def test_image_of_another_extent_is_an_error_line(self, trained_dir, tmp_path, capsys):
+        image = tmp_path / "wide.ppm"
+        write_pnm(image, np.zeros((48, 48, 3), np.uint8))  # the checkpoint takes 32x32
+        out = tmp_path / "m"
+        code = run_cli("export-maps", "--checkpoint", trained_dir / "checkpoint_final.wrnc",
+                       "--image", image, "--out", out)
+        assert code == 1
+        assert "48" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_field_is_an_error_line(self, synth_dir, tmp_path, capsys):
         model = WaveletClassifier(desk_config(rays=3, classes=2))

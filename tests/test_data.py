@@ -14,8 +14,7 @@ from waveray.data import (
     synth_generate,
     synth_render,
     write_origin_csv,
-    write_pgm,
-    write_ppm,
+    write_pnm,
 )
 from waveray.errors import ConfigError, DataError
 
@@ -24,7 +23,7 @@ class TestPnmCodec:
     def test_ppm_round_trip(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(5, 7, 3)).astype(np.uint8)
         p = tmp_path / "x.ppm"
-        write_ppm(p, img)
+        write_pnm(p, img)
         back = read_image(p)
         assert back.shape == (3, 5, 7)
         assert back.dtype == np.float32
@@ -34,7 +33,7 @@ class TestPnmCodec:
     def test_pgm_round_trip_replicates_channels(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(4, 6)).astype(np.uint8)
         p = tmp_path / "x.pgm"
-        write_pgm(p, img)
+        write_pnm(p, img)
         back = read_image(p)
         assert back.shape == (3, 4, 6)
         np.testing.assert_array_equal(back[0], back[1])
@@ -45,6 +44,16 @@ class TestPnmCodec:
         p.write_bytes(b"P5\n# a comment\n2 # inline\n2\n255\n" + bytes(4))
         img = read_image(p)
         assert img.shape == (3, 2, 2)
+
+    @pytest.mark.parametrize("header", [
+        b"P5#c\n2 2\n255\n",  # a comment right after the magic
+        b"P5\n2#c\n2 255\n",  # a number ended by a comment
+        b"P5\t2\r2\x0b255\x0c",  # the other four whitespace bytes as separators
+    ])
+    def test_header_grammar(self, tmp_path, header):
+        p = tmp_path / "g.pgm"
+        p.write_bytes(header + bytes(4))
+        assert read_image(p).shape == (3, 2, 2)
 
     def test_values_span_unit_interval(self, tmp_path):
         p = tmp_path / "v.pgm"
@@ -60,6 +69,9 @@ class TestPnmCodec:
         (b"P5\n2 2\n255\n" + bytes(3), "payload"),
         (b"P5\n0 2\n255\n", "extents"),
         (b"P5\n2 2 255", "whitespace"),
+        (b"P6 32 255\n", "truncated"),  # 32 is one field, not two
+        (b"P5\n2 2 # no newline ends this", "truncated"),
+        (b"P5\n2 x 255\n", "malformed header near byte 5"),
     ])
     def test_malformed_files(self, tmp_path, blob, match):
         p = tmp_path / "bad.pgm"
@@ -73,9 +85,9 @@ class TestPnmCodec:
 
     def test_writers_reject_wrong_dtype(self, tmp_path):
         with pytest.raises(DataError):
-            write_ppm(tmp_path / "y.ppm", np.zeros((2, 2, 3), dtype=np.float32))
+            write_pnm(tmp_path / "y.ppm", np.zeros((2, 2, 3), dtype=np.float32))
         with pytest.raises(DataError):
-            write_pgm(tmp_path / "y.pgm", np.zeros((2, 2, 1), dtype=np.uint8))
+            write_pnm(tmp_path / "y.pgm", np.zeros((2, 2, 1), dtype=np.uint8))
 
 
 def _write_tiny_dataset(root, labels, extent=16):
@@ -83,7 +95,7 @@ def _write_tiny_dataset(root, labels, extent=16):
     rows = ["path,label"]
     for i, label in enumerate(labels):
         rel = f"img{i}.ppm"
-        write_ppm(root / rel, rng.integers(0, 256, size=(extent, extent, 3)).astype(np.uint8))
+        write_pnm(root / rel, rng.integers(0, 256, size=(extent, extent, 3)).astype(np.uint8))
         rows.append(f"{rel},{label}")
     (root / "manifest.csv").write_text("\n".join(rows) + "\n")
     return root / "manifest.csv"
@@ -123,7 +135,7 @@ class TestManifest:
     def test_paths_may_contain_commas(self, tmp_path):
         sub = tmp_path / "a,b"
         sub.mkdir()
-        write_ppm(sub / "x.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
+        write_pnm(sub / "x.ppm", np.zeros((4, 4, 3), dtype=np.uint8))
         (tmp_path / "manifest.csv").write_text("path,label\na,b/x.ppm,0\na,b/x.ppm,1\n")
         ds = load_dataset(tmp_path)
         assert ds.images.shape == (2, 3, 4, 4)
@@ -159,14 +171,14 @@ class TestLoadDataset:
             load_dataset(m, classes=3)
 
     def test_mixed_extents_rejected(self, tmp_path):
-        write_ppm(tmp_path / "a.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
-        write_ppm(tmp_path / "b.ppm", np.zeros((16, 16, 3), dtype=np.uint8))
+        write_pnm(tmp_path / "a.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        write_pnm(tmp_path / "b.ppm", np.zeros((16, 16, 3), dtype=np.uint8))
         (tmp_path / "manifest.csv").write_text("path,label\na.ppm,0\nb.ppm,1\n")
         with pytest.raises(DataError, match="differs"):
             load_dataset(tmp_path)
 
     def test_non_square_rejected(self, tmp_path):
-        write_ppm(tmp_path / "a.ppm", np.zeros((8, 10, 3), dtype=np.uint8))
+        write_pnm(tmp_path / "a.ppm", np.zeros((8, 10, 3), dtype=np.uint8))
         (tmp_path / "manifest.csv").write_text("path,label\na.ppm,0\n")
         with pytest.raises(DataError, match="square"):
             load_dataset(tmp_path)

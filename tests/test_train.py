@@ -168,6 +168,27 @@ class TestTrainLoop:
         assert "[epoch 1/2]" in log.getvalue()
         assert len(history) == 2
 
+    def test_divergence_keeps_the_finished_epochs(self, tmp_path, rng):
+        ds = _real_dataset(rng, n=8)  # one batch per epoch
+
+        class PoisonAfterEpoch1(io.StringIO):
+            def write(self, text):
+                if text.startswith("[epoch 1/"):
+                    ds.images[0, 0, 0, 0] = np.nan  # so epoch 2's batch diverges
+                return super().write(text)
+
+        model = WaveletClassifier(desk_config(rays=1), seed=0)
+        with pytest.raises(DivergenceError, match=r"step 1 \(epoch 2\)"):
+            train(model, ds, _quick_cfg(epochs=3), out_dir=tmp_path,
+                  log_stream=PoisonAfterEpoch1())
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines[0] == METRICS_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+        origins = (tmp_path / "origins.csv").read_text().splitlines()
+        assert origins[0] == "epoch,origin_index,x,y"
+        assert [row.split(",")[0] for row in origins[1:]] == ["0"] * 12 + ["1"] * 12
+        assert not (tmp_path / "checkpoint_final.wrnc").exists()
+
     def test_no_origin_csv_without_rays(self, tmp_path, rng):
         ds = _real_dataset(rng, n=8)
         model = WaveletClassifier(desk_config(rays=0), seed=0)
