@@ -28,20 +28,31 @@ block of the optimizer's blocked update; this line reaches parameters of
 many blocks.
 A change that claims no behaviour change should leave this output unchanged:
 
-    python3 scripts/identity_digests.py > after.txt   # and diff with the parent's
+    python3 scripts/identity_digests.py --against HEAD   # or any other git revision
 
-It imports ``waveray`` from this checkout's ``src/``, takes no options and
-writes only to a temporary directory.
+With ``--against REV`` it exports ``src/`` at REV into a temporary directory
+with ``git archive``, computes the same digests there in a subprocess while
+it computes this checkout's, and prints only the lines that differ, as a
+unified diff from REV to this checkout; it exits 1 if any line differs.
+``--against HEAD`` checks an uncommitted change.
+
+It imports ``waveray`` from the ``src/`` next to its own ``scripts/`` folder
+and writes only to temporary directories.
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -130,7 +141,9 @@ def table1_optimizer_digest() -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def digest_lines() -> list:
+    """Every ``<digest>  <name>`` line, in order."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         data = root / "data"
@@ -139,31 +152,66 @@ def main() -> None:
             run(["train", "--data", str(data), "--out", str(root / name), *flags])
             for path in sorted((root / name).iterdir()):
                 if path.name != "metrics.csv":
-                    print(f"{digest(path.read_bytes())}  {name}/{path.name}")
+                    lines.append(f"{digest(path.read_bytes())}  {name}/{path.name}")
                 if path.suffix == ".wrnc":
-                    print(f"{digest(path.read_bytes()[8:-8])}  body/{name}/{path.name}")
+                    lines.append(f"{digest(path.read_bytes()[8:-8])}  body/{name}/{path.name}")
         maps = root / "maps"
         run(["export-maps", "--checkpoint", str(root / "rays3-shared" / "checkpoint_final.wrnc"),
              "--image", str(data / "images" / "img_00000.ppm"), "--out", str(maps),
              "--layer", "2"])
         for path in sorted(maps.iterdir()):
-            print(f"{digest(path.read_bytes())}  maps/{path.name}")
+            lines.append(f"{digest(path.read_bytes())}  maps/{path.name}")
         counts = run(["param-count", "--table1", "--rays", "3", "--classes", "10"])
         evaluated = run(["eval", "--checkpoint", str(root / "rays3" / "checkpoint_final.wrnc"),
                          "--data", str(data)])
         # the last eval column is throughput, which varies from run to run
         evaluated = "".join(line.rsplit(",", 1)[0] + "\n" for line in evaluated.splitlines())
-        print(f"{digest((counts + evaluated).encode())}  stdout/param-count+eval")
+        lines.append(f"{digest((counts + evaluated).encode())}  stdout/param-count+eval")
         for name in ("rays3", "rays3-shared"):
             checkpoint = root / name / "checkpoint_final.wrnc"
-            print(f"{logits_digest(checkpoint, data)}  logits/{name}")
+            lines.append(f"{logits_digest(checkpoint, data)}  logits/{name}")
         for scope in ("block", "op", "model"):
             gradcheck = run(["gradcheck", "--scope", scope, "--seed", "0"])
-            print(f"{digest(gradcheck.encode())}  stdout/gradcheck-{scope}")
+            lines.append(f"{digest(gradcheck.encode())}  stdout/gradcheck-{scope}")
     for rays, mode, dtype in ((3, "single", "float32"), (3, "double", "float64"),
                               (0, "single", "float32")):
-        print(f"{grads_digest(mode, rays)}  grads/desk-rays{rays}-batch64-{dtype}")
-    print(f"{table1_optimizer_digest()}  optim/table1-rays0-2steps")
+        lines.append(f"{grads_digest(mode, rays)}  grads/desk-rays{rays}-batch64-{dtype}")
+    lines.append(f"{table1_optimizer_digest()}  optim/table1-rays0-2steps")
+    return lines
+
+
+def against(rev: str) -> int:
+    """Print the lines that differ between ``src/`` at ``rev`` and this
+    checkout; return 1 if any does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = Path(tmp) / "src.tar"
+        subprocess.run(["git", "archive", f"--output={archive}", rev, "src"], cwd=ROOT,
+                       check=True)
+        shutil.unpack_archive(archive, tmp)
+        (Path(tmp) / "scripts").mkdir()
+        script = shutil.copy(__file__, Path(tmp) / "scripts")
+        child = [sys.executable, script]
+        with subprocess.Popen(child, stdout=subprocess.PIPE, text=True) as theirs:
+            ours = digest_lines()
+            out = theirs.stdout.read()
+    if theirs.returncode != 0:
+        raise SystemExit(f"digests at {rev} exited {theirs.returncode}")
+    diff = list(difflib.unified_diff(out.splitlines(), ours, rev, "this checkout",
+                                     lineterm="", n=0))
+    for line in diff:
+        print(line)
+    return 1 if diff else 0
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="print only the lines that differ from src/ at this git revision")
+    args = parser.parse_args()
+    if args.against:
+        sys.exit(against(args.against))
+    for line in digest_lines():
+        print(line)
 
 
 if __name__ == "__main__":

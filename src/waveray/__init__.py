@@ -11,7 +11,7 @@ from .autodiff import (
     precision,
     set_precision,
 )
-from .backbone import Backbone, BackboneConfig, FeaturePyramid, WaveFilterPair, wave_decompose
+from .backbone import BackboneConfig, FeaturePyramid, WaveFilterPair, wave_decompose
 from .checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 from .data import Dataset, SyntheticSpec, load_dataset, read_image, synth_generate
 from .errors import (

@@ -1,14 +1,8 @@
-"""The pyramidal wavelet backbone.
+"""The wavelet backbone's layers, which :mod:`waveray.model` assembles.
 
-A wide-field stem halves the input, two decimating wavelet extraction
-stages quarter it again, and a sequence of refinement stages (modulation
-blocks followed by pair-fusion pooling) grows the channel count.  Every
-decomposition is separable and depthwise: a short learnable low filter and
-a longer zero-sum high filter slide along width then height, shared across
-all channels of the owning block.
-
-All refinement pools except the last halve the map; the last one fuses
-bands at stride 1, so a two-stage backbone ends at 1/16 of the input.
+Every decomposition is separable and depthwise: a short learnable low
+filter and a longer zero-sum high filter slide along width then height,
+shared across all channels of the owning block.
 """
 
 from __future__ import annotations
@@ -19,9 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import LayerNorm, Module, Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_field_types
 from .ops import conv2d, pointwise_conv, sep_conv1d
-from .rays import RayField, RayLayer
 
 DEFAULT_LOW = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 DEFAULT_HIGH = (-0.25, -0.5, 1.5, -0.5, -0.25)
@@ -88,6 +81,7 @@ class BackboneConfig:
     bottleneck_factor: int = 4
 
     def validate(self) -> None:
+        check_field_types(self)
         ec = tuple(self.extraction_channels)
         rc = tuple(self.refinement_channels)
         if self.stem_channels < 1:
@@ -219,46 +213,3 @@ class FeaturePyramid(list):
     def deepest(self) -> Tensor:
         return self[-1][1]
 
-
-class Backbone(Module):
-    """Stem, extraction and refinement composed into one feature pyramid.
-
-    Under the model's ray budget ``rays``, stage ``i`` gets
-    ``cfg.ray_layers_per_stage`` ray layers when ``i < min(rays, 2)``; later
-    stages never carry any."""
-
-    def __init__(self, cfg: BackboneConfig, rng, rays: int = 0, n_origins: int = 12,
-                 shared_field: RayField = None):
-        cfg.validate()
-        self.stem = Stem(cfg.stem_channels, rng)
-        ec = tuple(cfg.extraction_channels)
-        self.extracts = [ExtractStage(ec[0], ec[1], rng), ExtractStage(ec[1], ec[2], rng)]
-        rc = tuple(cfg.refinement_channels)
-        last = cfg.refinement_stages - 1
-        self.stages = []
-        for i in range(cfg.refinement_stages):
-            stage = Module()
-            stage.blocks = [ModulationBlock(rc[i], rng, cfg.bottleneck_factor)
-                            for _ in range(cfg.blocks_per_stage)]
-            stage.rays = [RayLayer(rc[i], rng, n_origins=n_origins, field=shared_field)
-                          for _ in range(cfg.ray_layers_per_stage if i < min(rays, 2) else 0)]
-            stage.pool = WavePool(rc[i], rc[i + 1], rng, stride=1 if i == last else 2)
-            self.stages.append(stage)
-
-    def forward(self, images: Tensor) -> tuple[FeaturePyramid, list]:
-        x = self.stem.forward(images)
-        for stage in self.extracts:
-            x = stage.forward(x)
-        pyramid = FeaturePyramid()
-        maps = []
-        for i, stage in enumerate(self.stages):
-            for block in stage.blocks:
-                x = block.forward(x)
-            for ray in stage.rays:
-                x, amap = ray.forward(x)
-                maps.append(amap)
-            if i < len(self.stages) - 1:
-                pyramid.append((i, x))
-            x = stage.pool.forward(x)
-        pyramid.append((i, x))  # the last stage's entry is its pooled map
-        return pyramid, maps

@@ -289,10 +289,8 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
             r, version = _open(fh, path, os.fstat(fh.fileno()).st_size)
             try:
                 config, params, opt_m, opt_v = _read_records(r, _FORMATS[version][1])
-            except Exception:
+            finally:
                 r.finish()  # a damaged file names its checksum before what the damage broke
-                raise
-            r.finish()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
 

@@ -163,7 +163,7 @@ def _checkpoint_model(path):
     state = load_checkpoint(path)
     try:
         config = ModelConfig.from_dict(state.model_config)
-        config.validate()  # a stored value of the wrong type fails here as a TypeError
+        config.validate()  # a stored value of the wrong type or range fails here as a ConfigError
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad stored model config: {type(e).__name__}: {e}") from None
     with precision(state.precision):

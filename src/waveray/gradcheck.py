@@ -38,7 +38,7 @@ from .backbone import (
 )
 from .errors import ConfigError
 from .model import ModelConfig, WaveletClassifier, cross_entropy
-from .rays import RayEncoder, RayField, RayLayer, attenuation, distance_matrix, pixel_grid, psf, spectral_modulate
+from .rays import RayEncoder, RayField, RayLayer, distance_matrix, psf, spectral_modulate
 
 DEFAULT_TOL = 1e-4
 STEP = 1e-5
@@ -231,14 +231,7 @@ def _probe_attenuation(rng):
     field.log_sigma = Tensor(rng.normal(0.0, 0.3, size=4), requires_grad=True)
     field.log_alpha = Tensor(rng.normal(0.0, 0.3, size=4), requires_grad=True)
     field.beta = Tensor(rng.normal(1.0, 0.2, size=1), requires_grad=True)
-    grid = pixel_grid(4, 4)
-
-    def run():
-        d = distance_matrix(field.origins, Tensor(grid.coords))
-        amap = attenuation(d, field, extents=(4, 4))
-        return amap.combined
-
-    return run, dict(field.named_params("field"))
+    return lambda: field.attenuation_map(4, 4).combined, dict(field.named_params("field"))
 
 
 BLOCK_PROBES = [

@@ -1,4 +1,10 @@
-"""Classifier assembly: backbone, optional ray encoder, linear head.
+"""Classifier assembly: wavelet backbone, optional ray encoder, linear head.
+
+A wide-field stem halves the input, two decimating wavelet extraction
+stages quarter it again, and a sequence of refinement stages (modulation
+blocks, ray layers, pair-fusion pooling) grows the channel count.  All
+refinement pools except the last halve the map; the last one fuses bands
+at stride 1, so a two-stage backbone ends at 1/16 of the input.
 
 The ray budget k (0..3) switches layers on in a fixed order: k >= 1 adds
 ray layers to the first refinement stage, k >= 2 to the second, and k = 3
@@ -15,9 +21,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Affine, Module, Tensor, _as_tensor, _record_op, check_state
-from .backbone import Backbone, BackboneConfig
-from .errors import ConfigError, DataError, ShapeError
-from .rays import RayEncoder, RayField
+from .backbone import BackboneConfig, ExtractStage, FeaturePyramid, ModulationBlock, Stem, WavePool
+from .errors import ConfigError, DataError, ShapeError, check_field_types
+from .rays import RayEncoder, RayField, RayLayer
 
 
 @dataclass
@@ -31,6 +37,7 @@ class ModelConfig:
     share_ray_fields: bool = False
 
     def validate(self) -> None:
+        check_field_types(self)
         self.backbone.validate()
         if not 0 <= self.rays <= 3:
             raise ConfigError(f"rays must be between 0 and 3, got {self.rays}")
@@ -120,18 +127,28 @@ def cross_entropy(logits, labels) -> Tensor:
 
 
 class WaveletClassifier(Module):
-    """The full model: backbone, optional encoder, linear head."""
+    """The full model: wavelet backbone, optional encoder, linear head."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         config.validate()
         self.config = config
         rng = np.random.default_rng(seed)
+        bb = config.backbone
         shared = RayField(config.n_origins) if (config.share_ray_fields and config.rays) else None
-        self.backbone = Backbone(config.backbone, rng, rays=config.rays,
-                                 n_origins=config.n_origins, shared_field=shared)
-        deep_c = config.backbone.refinement_channels[-1]
+        self.stem = Stem(bb.stem_channels, rng)
+        ec, rc = tuple(bb.extraction_channels), tuple(bb.refinement_channels)
+        self.extracts = [ExtractStage(ec[0], ec[1], rng), ExtractStage(ec[1], ec[2], rng)]
+        self.stages = []
+        for i in range(bb.refinement_stages):
+            stage = Module()
+            stage.blocks = [ModulationBlock(rc[i], rng, bb.bottleneck_factor)
+                            for _ in range(bb.blocks_per_stage)]
+            stage.rays = [RayLayer(rc[i], rng, n_origins=config.n_origins, field=shared)
+                          for _ in range(bb.ray_layers_per_stage if i < min(config.rays, 2) else 0)]
+            stage.pool = WavePool(rc[i], rc[i + 1], rng, stride=1 if i == len(rc) - 2 else 2)
+            self.stages.append(stage)
         if config.rays >= 3:
-            self.encoder = RayEncoder(deep_c, d_model=config.d_model, n_layers=1,
+            self.encoder = RayEncoder(rc[-1], d_model=config.d_model, n_layers=1,
                                       n_origins=config.n_origins, rng=rng)
             if shared is not None:
                 for layer in self.encoder.layers:
@@ -139,10 +156,9 @@ class WaveletClassifier(Module):
             head_in = config.d_model
         else:
             self.encoder = None
-            head_in = deep_c
+            head_in = rc[-1]
         self.head = Affine(rng.normal(0.0, 0.02, (head_in, config.classes)), config.classes)
-        # parameter names keep the backbone's components at the top level
-        self._params = {name.removeprefix("backbone."): p for name, p in self.named_params()}
+        self._params = dict(self.named_params())
 
     def parameters(self) -> dict[str, Tensor]:
         return self._params
@@ -166,14 +182,27 @@ class WaveletClassifier(Module):
     def forward_with_aux(self, images) -> tuple[Tensor, dict]:
         images = _as_tensor(images)
         self._check_images(images)
-        pyramid, maps = self.backbone.forward(images)
-        deep = pyramid.deepest
+        x = self.stem.forward(images)
+        for stage in self.extracts:
+            x = stage.forward(x)
+        pyramid = FeaturePyramid()
+        maps = []
+        for i, stage in enumerate(self.stages):
+            for block in stage.blocks:
+                x = block.forward(x)
+            for ray in stage.rays:
+                x, amap = ray.forward(x)
+                maps.append(amap)
+            if i < len(self.stages) - 1:
+                pyramid.append((i, x))
+            x = stage.pool.forward(x)
+        pyramid.append((i, x))  # the last stage's entry is its pooled map
         if self.encoder is not None:
-            tokens, emaps = self.encoder.forward(deep)
-            maps = maps + emaps
+            tokens, emaps = self.encoder.forward(x)
+            maps += emaps
             pooled = ad.reduce_mean(tokens, axis=1)
         else:
-            pooled = ad.global_avg_pool(deep)
+            pooled = ad.global_avg_pool(x)
         logits = ad.add(ad.matmul(pooled, self.head.w), self.head.b)
         return logits, {"pyramid": pyramid, "maps": maps, "pooled": pooled}
 

@@ -9,7 +9,6 @@ from waveray.autodiff import Tape, Tensor, backward, precision
 from waveray.backbone import (
     DEFAULT_HIGH,
     DEFAULT_LOW,
-    Backbone,
     BackboneConfig,
     ExtractStage,
     ModulationBlock,
@@ -19,7 +18,7 @@ from waveray.backbone import (
     wave_decompose,
 )
 from waveray.errors import ConfigError, ShapeError
-from waveray.model import WaveletClassifier, cross_entropy, desk_config
+from waveray.model import ModelConfig, WaveletClassifier, cross_entropy, desk_config
 from waveray.ops import pointwise_conv, sep_conv1d
 
 
@@ -322,11 +321,16 @@ def small_cfg():
     )
 
 
+def small_model(rays: int = 0) -> WaveletClassifier:
+    return WaveletClassifier(ModelConfig(backbone=small_cfg(), classes=2, input_extent=32,
+                                         rays=rays, d_model=4, n_origins=3), seed=0)
+
+
 class TestBackbone:
     def test_pyramid_shapes(self, rng):
-        bb = Backbone(small_cfg(), rng)
-        pyramid, maps = bb.forward(Tensor(rng.normal(size=(2, 3, 32, 32))))
-        assert maps == []
+        _, aux = small_model().forward_with_aux(Tensor(rng.normal(size=(2, 3, 32, 32))))
+        pyramid = aux["pyramid"]
+        assert aux["maps"] == []
         shapes = [(i, t.shape) for i, t in pyramid]
         # stage 0 is recorded before its halving pool, the last stage after
         # its stride-1 pool, so the pyramid ends at 1/8 then 1/16
@@ -334,11 +338,9 @@ class TestBackbone:
         assert pyramid.deepest.shape == (2, 16, 2, 2)
 
     def test_ray_layer_placement(self, rng):
-        bb = Backbone(small_cfg(), rng, rays=2, n_origins=3)
-        _, maps = bb.forward(Tensor(rng.normal(size=(1, 3, 32, 32))))
-        assert [m.extents for m in maps] == [(4, 4), (2, 2)]
+        _, aux = small_model(rays=2).forward_with_aux(Tensor(rng.normal(size=(1, 3, 32, 32))))
+        assert [m.extents for m in aux["maps"]] == [(4, 4), (2, 2)]
 
-    def test_param_names_unique(self, rng):
-        bb = Backbone(small_cfg(), rng, rays=1, n_origins=3)
-        names = [n for n, _ in bb.named_params()]
+    def test_param_names_unique(self):
+        names = [n for n, _ in small_model(rays=1).named_params()]
         assert len(names) == len(set(names))

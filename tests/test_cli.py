@@ -312,7 +312,12 @@ class TestEval:
         lambda s: s.model_config.update(turbo=True),
         lambda s: s.model_config["backbone"].update(extraction_channels=5),
         lambda s: s.model_config.update(rays="1"),
-    ], ids=["precision", "unknown-key", "scalar-channels", "string-rays"])
+        lambda s: s.model_config.update(classes=3.0),
+        lambda s: s.model_config.update(n_origins=12.0),
+        lambda s: s.model_config.update(rays=True),
+        lambda s: s.model_config.update(share_ray_fields="no"),
+    ], ids=["precision", "unknown-key", "scalar-channels", "string-rays", "float-classes",
+            "float-origins", "bool-rays", "string-share"])
     def test_bad_stored_config_is_an_error_line(self, trained_dir, synth_dir, tmp_path, capsys,
                                                 mutate):
         # a valid digest over a bad config: the file must still be refused cleanly

@@ -8,6 +8,7 @@ import pytest
 
 from waveray import rays
 from waveray.autodiff import Tape, Tensor, backward, precision
+from waveray.backbone import BackboneConfig
 from waveray.errors import ConfigError, DataError, ShapeError
 from waveray.model import (
     ModelConfig,
@@ -18,6 +19,7 @@ from waveray.model import (
     table1_config,
 )
 from waveray.optim import AdamW
+from waveray.train import TrainConfig
 
 
 class TestModelConfig:
@@ -55,6 +57,24 @@ class TestModelConfig:
         logits = WaveletClassifier(cfg, seed=0).forward(
             Tensor(rng.normal(size=(1, 3, extent, extent))))
         assert logits.shape == (1, 2) and np.isfinite(logits.data).all()
+
+    @pytest.mark.parametrize("cfg, field", [
+        (lambda: desk_config(classes=np.int64(3)), "classes"),
+        (lambda: desk_config(rays=True), "rays"),
+        (lambda: ModelConfig(share_ray_fields="no"), "share_ray_fields"),
+        (lambda: ModelConfig(n_origins=12.0), "n_origins"),
+        (lambda: ModelConfig(backbone=BackboneConfig(extraction_channels=(32, 48.0, 64))),
+         "extraction_channels"),
+    ], ids=["numpy-int", "bool-int", "str-bool", "float-int", "float-in-tuple"])
+    def test_field_types_are_checked(self, cfg, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be of type"):
+            cfg().validate()
+
+    def test_numbers_of_either_kind_fit_a_float_field(self):
+        ModelConfig(backbone=BackboneConfig(refinement_channels=[64, 512, 4096])).validate()
+        TrainConfig(peak_lr=1, weight_decay=np.float64(0.05)).validate()
+        with pytest.raises(ConfigError, match="^peak_lr must be of type float"):
+            TrainConfig(peak_lr=True).validate()
 
     def test_dict_round_trip(self):
         # through JSON, as a checkpoint stores it: tuples come back as lists
@@ -237,6 +257,15 @@ class TestClassifier:
             model.load_state(arrays)
         for name, arr in model.state_arrays().items():
             np.testing.assert_array_equal(arr, before[name])
+
+    def test_module_paths_are_parameter_names(self):
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        paths = [path for path, _ in model._walk("", set())]
+        for path in ("stem", "extract0", "stage0.block0", "stage0.ray0", "stage1.ray0",
+                     "encoder.layer0", "head"):
+            assert path in paths
+        assert not any(p.startswith("backbone.") for p in paths)
+        assert model.parameters() == dict(model.named_params())
 
     def test_end_to_end_gradients(self, rng):
         model = WaveletClassifier(desk_config(rays=1), seed=0)

@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from waveray.autodiff import Tensor
+from waveray.autodiff import Tensor, precision
 from waveray.checkpoint import load_checkpoint
 from waveray.data import Dataset
-from waveray.errors import DataError, DivergenceError
+from waveray.errors import ConfigError, DataError, DivergenceError
 from waveray.model import WaveletClassifier, cross_entropy, desk_config
 from waveray.train import (
     METRICS_HEADER,
@@ -217,3 +217,36 @@ class TestTrainLoop:
         model = WaveletClassifier(desk_config(rays=0), seed=0)
         with pytest.raises(DataError):
             train(model, ds, _quick_cfg())
+
+    def test_parameters_of_another_precision_are_refused_before_writing(self, tmp_path, rng):
+        ds = _real_dataset(rng, n=8)
+        model = WaveletClassifier(desk_config(rays=0), seed=0)  # float32
+        with pytest.raises(ConfigError, match=r"'double' cannot train \['float32'\] parameters"):
+            train(model, ds, _quick_cfg(epochs=1, precision="double"), out_dir=tmp_path / "run",
+                  log_stream=io.StringIO())
+        assert not (tmp_path / "run").exists()
+        assert all(p.dtype == np.float32 for p in model.parameters().values())
+
+    def test_double_run_outside_the_precision_context(self, tmp_path, rng):
+        ds = _real_dataset(rng, n=8)
+        cfg = _quick_cfg(epochs=1, precision="double")
+        with precision("double"):
+            inside = WaveletClassifier(desk_config(rays=1), seed=0)
+            outside = WaveletClassifier(desk_config(rays=1), seed=0)
+            train(inside, ds, cfg, out_dir=tmp_path / "inside", log_stream=io.StringIO())
+        train(outside, ds, cfg, out_dir=tmp_path / "outside", log_stream=io.StringIO())
+        state = load_checkpoint(tmp_path / "outside" / "checkpoint_final.wrnc")
+        assert state.precision == "double"
+        assert all(a.dtype == np.float64 for a in state.params.values())
+        assert ((tmp_path / "outside" / "checkpoint_final.wrnc").read_bytes()
+                == (tmp_path / "inside" / "checkpoint_final.wrnc").read_bytes())
+
+    def test_numpy_integer_config_fields_are_refused_before_writing(self, tmp_path, rng):
+        ds = _real_dataset(rng, n=8)
+        with pytest.raises(ConfigError, match="classes"):
+            WaveletClassifier(desk_config(classes=ds.labels.max() + 1), seed=0)
+        model = WaveletClassifier(desk_config(classes=int(ds.labels.max()) + 1), seed=0)
+        with pytest.raises(ConfigError, match="epochs"):
+            train(model, ds, _quick_cfg(epochs=np.int64(1)), out_dir=tmp_path / "run",
+                  log_stream=io.StringIO())
+        assert not (tmp_path / "run").exists()
