@@ -8,10 +8,14 @@ checkpoint also gets a ``body/<run>/<file>`` line, which digests bytes
 ``8:-8`` of the file: everything but the magic, the format version and the
 integrity trailer.  A change of checkpoint container (a new version number
 or trailer digest) moves only the file line, while a change in the trained
-values moves the ``body/`` line too.  It then digests every
-file ``export-maps --layer 2`` writes for the shared-field run, and the
-stdout of ``param-count --table1 --rays 3 --classes 10`` plus ``eval`` of the
-rays-3 run, with eval's ``images_per_second`` column dropped.  Two lines
+values moves the ``body/`` line too.  A ``load/<run>/<file>`` line digests
+what ``load_checkpoint`` returns for the file: each record's name, dtype,
+shape and bytes in name order, then the JSON of the counters, precision,
+RNG state, extras and model config.  Under ``--against`` each side digests
+with its own loader, so the line compares the two loaders too.  It then
+digests every file ``export-maps --layer 2`` writes for the shared-field run,
+and the stdout of ``param-count --table1 --rays 3 --classes 10`` plus
+``eval`` of the rays-3 run, with eval's ``images_per_second`` column dropped.  Two lines
 digest the batch-1 logits of every image of the set under the rays-3 and the
 shared-field final checkpoints, where repeated untaped forwards reuse the ray
 maps.  Three digest the stdout of ``gradcheck --scope block --seed 0``, where
@@ -45,6 +49,7 @@ import contextlib
 import difflib
 import hashlib
 import io
+import json
 import shutil
 import subprocess
 import sys
@@ -93,6 +98,19 @@ def run(argv: list) -> str:
 
 def digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+def load_digest(checkpoint: Path) -> str:
+    """Digest of everything ``load_checkpoint`` returns for ``checkpoint``."""
+    state = load_checkpoint(checkpoint)
+    h = hashlib.blake2b(digest_size=8)
+    for kind in ("params", "opt_m", "opt_v"):
+        for name, arr in sorted(getattr(state, kind).items()):
+            h.update(f"{kind}/{name} {arr.dtype.str} {arr.shape}".encode() + arr.tobytes())
+    rest = {k: getattr(state, k) for k in ("epoch", "opt_step", "precision", "rng_state",
+                                           "extra", "model_config")}
+    h.update(json.dumps(rest, sort_keys=True).encode())
+    return h.hexdigest()
 
 
 def logits_digest(checkpoint: Path, data: Path) -> str:
@@ -155,6 +173,7 @@ def digest_lines() -> list:
                     lines.append(f"{digest(path.read_bytes())}  {name}/{path.name}")
                 if path.suffix == ".wrnc":
                     lines.append(f"{digest(path.read_bytes()[8:-8])}  body/{name}/{path.name}")
+                    lines.append(f"{load_digest(path)}  load/{name}/{path.name}")
         maps = root / "maps"
         run(["export-maps", "--checkpoint", str(root / "rays3-shared" / "checkpoint_final.wrnc"),
              "--image", str(data / "images" / "img_00000.ppm"), "--out", str(maps),

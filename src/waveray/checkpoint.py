@@ -25,13 +25,8 @@ trailer before it returns.  A file that fails to parse has the rest of its
 body hashed first, so a damaged file is refused for its checksum, not for
 whatever the damage broke.  Every length is checked against the file's size
 before anything is allocated, so a damaged head can make the loader allocate
-at most the file's size before the digest refuses it.
-
-Older files still load.  Version 2 is version 3 byte for byte except its
-trailer, the 8-byte BLAKE2b digest (RFC 7693) of the same bytes.  Version 1
-also has no dtype codes (every payload is float32), and its trailer is the
-u64 FNV-1a hash of the same bytes.  That hash is one pure-Python call over
-the whole body, so a version-1 load alone gathers the body in memory.
+at most the file's size before the digest refuses it.  A file of any other
+format version is refused.
 """
 
 from __future__ import annotations
@@ -63,6 +58,7 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+# no save or load calls this; kept because perfbench/tracer.py wraps it on install
 def fnv1a(data: bytes) -> int:
     h = _FNV_OFFSET
     for byte in data:
@@ -122,7 +118,7 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     def pieces():
         # streamed: the digest sees each piece as it goes out, and no
         # whole-file copy of the payloads is ever made
-        digest = _FORMATS[VERSION][0]()
+        digest = hashlib.sha256()
         yield MAGIC + struct.pack("<I", VERSION)
         for piece in itertools.chain([head], *records):
             digest.update(piece)
@@ -130,32 +126,6 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         yield digest.digest()[:DIGEST_SIZE]
 
     atomic_write_bytes(path, pieces())
-
-
-class _Fnv1a:
-    """The version-1 digest behind hashlib's ``update``/``digest`` interface.
-
-    It gathers the body and hashes it in one ``fnv1a`` call, looked up as a
-    module global so that a wrapper installed there sees every byte.
-    """
-
-    def __init__(self):
-        self.body = bytearray()
-
-    def update(self, data) -> None:
-        self.body += bytes(data)  # an array's raw bytes, not numpy's elementwise add
-
-    def digest(self) -> bytes:
-        return struct.pack("<Q", fnv1a(self.body))
-
-
-def _blake2b64():
-    return hashlib.blake2b(digest_size=DIGEST_SIZE)
-
-
-# version -> (digest constructor, whether records carry a dtype code); the
-# trailer is the first DIGEST_SIZE bytes of the digest
-_FORMATS = {1: (_Fnv1a, False), 2: (_blake2b64, True), 3: (hashlib.sha256, True)}
 
 
 class _Reader:
@@ -226,24 +196,22 @@ def _config_diff(expected: dict, found: dict, prefix: str = "") -> list[str]:
     return diffs
 
 
-def _open(fh, path, size: int) -> tuple[_Reader, int]:
-    """Check the file's head; return a reader of its body for that version."""
+def _open(fh, path, size: int) -> _Reader:
+    """Check the file's head; return a reader of its body."""
     if size < len(MAGIC) + 4 + DIGEST_SIZE:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
     head = fh.read(len(MAGIC) + 4)
     if head[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     (version,) = struct.unpack_from("<I", head, len(MAGIC))
-    if version not in _FORMATS:
-        raise CheckpointError(
-            f"{path}: format version {version} unsupported; this build reads versions "
-            f"{', '.join(map(str, _FORMATS))}; re-save the checkpoint with a matching "
-            f"library version"
-        )
-    return _Reader(fh, len(head), size - DIGEST_SIZE, _FORMATS[version][0](), path), version
+    if version != VERSION:
+        raise CheckpointError(f"{path}: format version {version} unsupported; this build reads "
+                              f"version {VERSION}; re-save the checkpoint with a matching "
+                              f"library version")
+    return _Reader(fh, len(head), size - DIGEST_SIZE, hashlib.sha256(), path)
 
 
-def _read_records(r: _Reader, has_dtype: bool) -> tuple:
+def _read_records(r: _Reader) -> tuple:
     """Parse the config and the records after the version field."""
     path = r.path
     try:
@@ -262,12 +230,12 @@ def _read_records(r: _Reader, has_dtype: bool) -> tuple:
         # three reads a head: the name's length; the name, dtype code and
         # rank; the extents
         (n,) = struct.unpack("<H", r.read(2))
-        head = r.read(n + 2 if has_dtype else n + 1)
+        head = r.read(n + 2)
         try:
             name = head[:n].decode("utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{path}: bad record name: {e}") from None
-        code = head[n] if has_dtype else 0  # version 1 is all float32
+        code = head[n]
         if code >= len(_DTYPES):
             raise CheckpointError(f"{path}: record {name!r} has unknown dtype code {code}")
         rank = head[-1]
@@ -286,9 +254,9 @@ def load_checkpoint(path, expected_model_config: dict = None) -> CheckpointState
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            r, version = _open(fh, path, os.fstat(fh.fileno()).st_size)
+            r = _open(fh, path, os.fstat(fh.fileno()).st_size)
             try:
-                config, params, opt_m, opt_v = _read_records(r, _FORMATS[version][1])
+                config, params, opt_m, opt_v = _read_records(r)
             finally:
                 r.finish()  # a damaged file names its checksum before what the damage broke
     except OSError as e:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types
 
 _MAXVAL = 255
 _GAP = re.compile(rb"(?:\s|#[^\n]*\n)*")  # whitespace and comments; \s is bytes.isspace's six
@@ -246,6 +246,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_field_types(self)
         if not 2 <= self.classes <= len(SHAPES):
             raise ConfigError(
                 f"classes must lie in [2, {len(SHAPES)}] (one shape each), got {self.classes}"

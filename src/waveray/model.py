@@ -182,6 +182,9 @@ class WaveletClassifier(Module):
     def forward_with_aux(self, images) -> tuple[Tensor, dict]:
         images = _as_tensor(images)
         self._check_images(images)
+        if images.dtype != self.head.w.dtype:  # numpy would promote float32 to float64
+            raise ConfigError(f"images are {images.dtype}, but the model's parameters are "
+                              f"{self.head.w.dtype}")
         x = self.stem.forward(images)
         for stage in self.extracts:
             x = stage.forward(x)

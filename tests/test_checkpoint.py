@@ -1,10 +1,11 @@
-"""Checkpoint container: layout, checksums, migration errors."""
+"""Checkpoint container: layout, checksums, version errors."""
 
 import hashlib
 import json
 import os
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,22 +44,17 @@ def tiny_state(rng, **overrides):
     return CheckpointState(**kwargs)
 
 
-def digest_for(version: int, body: bytes) -> bytes:
-    """The trailer a file of ``version`` carries over ``body``: FNV-1a (u64),
-    then BLAKE2b-64, then the first 8 bytes of SHA-256."""
-    if version == 1:
-        return struct.pack("<Q", fnv1a(body))
-    if version == 2:
-        return hashlib.blake2b(body, digest_size=8).digest()
+def digest_for(body: bytes) -> bytes:
+    """The trailer a file carries over ``body``: the first 8 bytes of SHA-256."""
     return hashlib.sha256(body).digest()[:8]
 
 
-def forge(version: int, body: bytes) -> bytes:
-    """A file of ``version`` around ``body``, with a matching trailer."""
-    return MAGIC + struct.pack("<I", version) + body + digest_for(version, body)
+def forge(body: bytes) -> bytes:
+    """A file around ``body``, with a matching trailer."""
+    return MAGIC + struct.pack("<I", VERSION) + body + digest_for(body)
 
 
-def _blob(state, version: int) -> bytes:
+def _blob(state) -> bytes:
     config = {"model": state.model_config, "opt_step": state.opt_step, "epoch": state.epoch,
               "rng_state": state.rng_state, "precision": state.precision,
               "extra": state.extra}
@@ -69,30 +65,16 @@ def _blob(state, version: int) -> bytes:
     body = struct.pack("<I", len(config_b)) + config_b + struct.pack("<I", len(records))
     for name, arr in records:
         arr = np.asarray(arr)
-        payload = arr.astype("<f8" if version > 1 and arr.dtype == np.float64 else "<f4")
+        payload = arr.astype("<f8" if arr.dtype == np.float64 else "<f4")
         name_b = name.encode("utf-8")
         body += struct.pack("<H", len(name_b)) + name_b
-        if version > 1:
-            body += struct.pack("<B", int(payload.dtype == np.float64))
-        body += struct.pack("<B", payload.ndim)
+        body += struct.pack("<BB", int(payload.dtype == np.float64), payload.ndim)
         body += struct.pack(f"<{payload.ndim}I", *payload.shape) + payload.tobytes()
-    return forge(version, body)
+    return forge(body)
 
 
-def v1_blob(state) -> bytes:
-    """A version-1 file as the format-1 writer laid it out: no dtype codes,
-    float32 payloads and a u64 FNV-1a trailer."""
-    return _blob(state, 1)
-
-
-def v2_blob(state) -> bytes:
-    """A version-2 file as the format-2 writer laid it out: a dtype code per
-    record, payloads in their own dtype and a BLAKE2b-64 trailer."""
-    return _blob(state, 2)
-
-
-def v2_records(blob: bytes) -> list:
-    """(name, dtype code, shape, payload bytes) of every record in a v2 or v3 file."""
+def file_records(blob: bytes) -> list:
+    """(name, dtype code, shape, payload bytes) of every record in a file."""
     pos = 12 + struct.unpack_from("<I", blob, 8)[0]
     (count,) = struct.unpack_from("<I", blob, pos)
     pos += 4
@@ -120,6 +102,15 @@ class TestFnv1a:
 
     def test_single_bit_changes_hash(self):
         assert fnv1a(b"\x00" * 32) != fnv1a(b"\x00" * 31 + b"\x01")
+
+    def test_save_and_load_never_use_fnv1a(self, tmp_path, rng, monkeypatch):
+        def refuse(data):
+            raise AssertionError("fnv1a called")
+
+        monkeypatch.setattr(checkpoint, "fnv1a", refuse)
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, tiny_state(rng))
+        assert load_checkpoint(p).opt_step == 17
 
 
 class TestRoundTrip:
@@ -234,6 +225,20 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="re-save"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_are_refused(self, tmp_path, rng, version):
+        """A file of an older format with a valid trailer of its own kind:
+        FNV-1a (u64) for version 1, BLAKE2b-64 for version 2."""
+        p = tmp_path / "ck.wrnc"
+        # no records, so the body is laid out alike in every version
+        save_checkpoint(p, tiny_state(rng, params={}, opt_m={}, opt_v={}))
+        body = p.read_bytes()[8:-8]
+        trailer = (struct.pack("<Q", fnv1a(body)) if version == 1
+                   else hashlib.blake2b(body, digest_size=8).digest())
+        p.write_bytes(MAGIC + struct.pack("<I", version) + body + trailer)
+        with pytest.raises(CheckpointError, match=f"version {version} unsupported.*re-save"):
+            load_checkpoint(p)
+
     def test_truncated_file(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
         save_checkpoint(p, tiny_state(rng))
@@ -259,10 +264,9 @@ class TestCorruption:
         p = tmp_path / "ck.wrnc"
         save_checkpoint(p, state)
         body = p.read_bytes()[8:-8] + b"junk"
-        for version in (2, 3):
-            p.write_bytes(forge(version, body))
-            with pytest.raises(CheckpointError, match="4 trailing bytes"):
-                load_checkpoint(p)
+        p.write_bytes(forge(body))
+        with pytest.raises(CheckpointError, match="4 trailing bytes"):
+            load_checkpoint(p)
 
     def test_overflowing_shape_is_truncation(self, tmp_path):
         """Extents whose product wraps a 64-bit element count to 0 still read as
@@ -272,10 +276,9 @@ class TestCorruption:
         blob = p.read_bytes()
         extents_at = len(blob) - 8 - 4 - 16  # four u32 extents, one f4 payload, the digest
         body = blob[8:extents_at] + struct.pack("<4I", *(65536,) * 4) + blob[-12:-8]
-        for version in (2, 3):
-            p.write_bytes(forge(version, body))
-            with pytest.raises(CheckpointError, match="truncated"):
-                load_checkpoint(p)
+        p.write_bytes(forge(body))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(p)
 
     def test_bad_record_name_rejected(self, tmp_path):
         p = tmp_path / "ck.wrnc"
@@ -284,10 +287,9 @@ class TestCorruption:
         name_at = len(blob) - 8 - 4 - 4 - 1 - 1 - 1  # payload, extent, rank, code, name
         assert blob[name_at : name_at + 1] == b"w"
         body = blob[8:name_at] + b"\xff" + blob[name_at + 1 : -8]
-        for version in (2, 3):
-            p.write_bytes(forge(version, body))
-            with pytest.raises(CheckpointError, match="bad record name"):
-                load_checkpoint(p)
+        p.write_bytes(forge(body))
+        with pytest.raises(CheckpointError, match="bad record name"):
+            load_checkpoint(p)
 
     @pytest.mark.parametrize("name", ["w", "opt.m/w", "opt.v/w"])
     def test_repeated_record_name_rejected(self, tmp_path, name):
@@ -301,7 +303,7 @@ class TestCorruption:
         record = struct.pack("<H", len(name_b)) + name_b + struct.pack("<BBI", 0, 1, 2)
         body = (blob[8:-12] + struct.pack("<I", 2) + record + np.ones(2, "<f4").tobytes()
                 + record + np.full(2, 7, "<f4").tobytes())
-        p.write_bytes(forge(VERSION, body))
+        p.write_bytes(forge(body))
         with pytest.raises(CheckpointError, match=f"record '{name}' appears twice"):
             load_checkpoint(p)
 
@@ -313,7 +315,7 @@ class TestCorruption:
         rank_at = len(blob) - 8 - 4 - 16 - 1
         assert blob[rank_at] == 4
         body = blob[8:rank_at] + struct.pack("<B65I", 65, *(1,) * 65) + blob[-12:-8]
-        p.write_bytes(forge(VERSION, body))
+        p.write_bytes(forge(body))
         with pytest.raises(CheckpointError, match="record shape"):
             load_checkpoint(p)
 
@@ -324,10 +326,9 @@ class TestConfigEcho:
         # a valid digest over JSON that is not an object
         body = struct.pack("<I", len(blob)) + blob + struct.pack("<I", 0)
         p = tmp_path / "ck.wrnc"
-        for version in (2, 3):
-            p.write_bytes(forge(version, body))
-            with pytest.raises(CheckpointError, match="bad config blob"):
-                load_checkpoint(p)
+        p.write_bytes(forge(body))
+        with pytest.raises(CheckpointError, match="bad config blob"):
+            load_checkpoint(p)
 
     def test_mismatch_names_the_fields(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
@@ -360,10 +361,9 @@ class TestConfigEcho:
     def test_stored_counters_must_be_non_negative_ints(self, tmp_path, rng, field, value):
         # a valid digest over a bad counter: the file must still be refused
         p = tmp_path / "ck.wrnc"
-        for version in (2, 3):
-            p.write_bytes(_blob(tiny_state(rng, **{field: value}), version))
-            with pytest.raises(CheckpointError, match=f"{field} must be a non-negative"):
-                load_checkpoint(p)
+        p.write_bytes(_blob(tiny_state(rng, **{field: value})))
+        with pytest.raises(CheckpointError, match=f"{field} must be a non-negative"):
+            load_checkpoint(p)
 
     def test_matching_config_passes(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
@@ -383,7 +383,7 @@ class TestLayout:
         assert config["epoch"] == 4
         assert config["model"]["classes"] == 3
         # checksum trailer covers exactly the body
-        assert blob[-8:] == digest_for(3, blob[8:-8])
+        assert blob[-8:] == digest_for(blob[8:-8])
 
     def test_records_are_sorted_with_moments_last(self, tmp_path, rng):
         p = tmp_path / "ck.wrnc"
@@ -411,7 +411,7 @@ class TestLayout:
         state = tiny_state(rng)
         p = tmp_path / "ck.wrnc"
         save_checkpoint(p, state)
-        records = v2_records(p.read_bytes())
+        records = file_records(p.read_bytes())
         assert len(records) == 9
         for name, code, shape, payload in records:
             kind, _, key = name.rpartition("/")
@@ -429,7 +429,7 @@ class TestDtypes:
                            opt_v={k: v * v for k, v in params.items()})
         p = tmp_path / "d.wrnc"
         save_checkpoint(p, state)
-        assert {code for _, code, _, _ in v2_records(p.read_bytes())} == {1}
+        assert {code for _, code, _, _ in file_records(p.read_bytes())} == {1}
         back = load_checkpoint(p)
         for saved, loaded in ((state.params, back.params), (state.opt_m, back.opt_m),
                               (state.opt_v, back.opt_v)):
@@ -469,89 +469,8 @@ class TestDtypes:
         assert blob[code_at] == 0
         blob[code_at] = 7
         body = bytes(blob[8:-8])
-        for version in (2, 3):
-            p.write_bytes(forge(version, body))
-            with pytest.raises(CheckpointError, match="dtype code 7"):
-                load_checkpoint(p)
-
-
-class TestVersion1:
-    def test_v1_file_loads_as_float32(self, tmp_path, rng):
-        state = tiny_state(rng)
-        p = tmp_path / "v1.wrnc"
-        p.write_bytes(v1_blob(state))
-        back = load_checkpoint(p, expected_model_config={"classes": 3, "rays": 0})
-        for saved, loaded in ((state.params, back.params), (state.opt_m, back.opt_m),
-                              (state.opt_v, back.opt_v)):
-            assert set(loaded) == set(saved)
-            for name, arr in saved.items():
-                assert loaded[name].dtype == np.float32
-                np.testing.assert_array_equal(loaded[name], arr)
-        assert (back.opt_step, back.epoch, back.extra) == (17, 4, {"note": "x"})
-
-    def test_v1_flipped_payload_byte_names_checksum(self, tmp_path, rng):
-        blob = bytearray(v1_blob(tiny_state(rng)))
-        blob[len(blob) // 2] ^= 0x01
-        p = tmp_path / "v1.wrnc"
-        p.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="checksum"):
-            load_checkpoint(p)
-
-    def test_v1_is_verified_through_the_module_fnv1a(self, tmp_path, rng, monkeypatch):
-        seen = []
-
-        def counting(data):
-            seen.append(len(data))
-            return fnv1a(data)
-
-        monkeypatch.setattr(checkpoint, "fnv1a", counting)
-        blob = v1_blob(tiny_state(rng))
-        p = tmp_path / "v1.wrnc"
-        p.write_bytes(blob)
-        load_checkpoint(p)
-        assert seen == [len(blob) - 16]
-
-    def test_v2_save_and_load_never_use_fnv1a(self, tmp_path, rng, monkeypatch):
-        def refuse(data):
-            raise AssertionError("fnv1a called")
-
-        monkeypatch.setattr(checkpoint, "fnv1a", refuse)
-        p = tmp_path / "ck.wrnc"
-        save_checkpoint(p, tiny_state(rng))
-        assert load_checkpoint(p).opt_step == 17
-        p.write_bytes(v2_blob(tiny_state(rng)))
-        assert load_checkpoint(p).opt_step == 17
-
-
-class TestVersion2:
-    def test_v2_file_loads_like_a_v3_save(self, tmp_path, rng):
-        params = {"w": rng.normal(size=(4, 3)).astype(np.float32), "d": rng.normal(size=(2, 5)),
-                  "s": np.float64(np.e)}
-        state = tiny_state(rng, params=params, opt_m={k: v * 0.5 for k, v in params.items()},
-                           opt_v={k: v * v for k, v in params.items()})
-        v2, v3 = tmp_path / "v2.wrnc", tmp_path / "v3.wrnc"
-        v2.write_bytes(v2_blob(state))
-        save_checkpoint(v3, state)
-        # the same layout: only the version field and the trailer differ
-        assert v2.read_bytes()[8:-8] == v3.read_bytes()[8:-8]
-        old, new = load_checkpoint(v2), load_checkpoint(v3)
-        for kind in ("params", "opt_m", "opt_v"):
-            before, after = getattr(old, kind), getattr(new, kind)
-            assert set(before) == set(after) == set(params)
-            for name in params:
-                assert before[name].dtype == after[name].dtype == np.asarray(params[name]).dtype
-                assert before[name].shape == after[name].shape
-                assert before[name].tobytes() == after[name].tobytes()
-        assert old.model_config == new.model_config == state.model_config
-        assert (old.opt_step, old.epoch, old.rng_state, old.precision, old.extra) == (
-            new.opt_step, new.epoch, new.rng_state, new.precision, new.extra)
-
-    def test_v2_flipped_payload_byte_names_checksum(self, tmp_path, rng):
-        blob = bytearray(v2_blob(tiny_state(rng)))
-        blob[len(blob) // 2] ^= 0x01
-        p = tmp_path / "v2.wrnc"
-        p.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="checksum"):
+        p.write_bytes(forge(body))
+        with pytest.raises(CheckpointError, match="dtype code 7"):
             load_checkpoint(p)
 
 
@@ -595,7 +514,7 @@ class TestStreamingLoad:
         blob = p.read_bytes()
         extents_at = len(blob) - 8 - 4 - 16
         body = blob[8:extents_at] + struct.pack("<4I", 64, 1024, 1024, 1) + blob[-12:-8]
-        p.write_bytes(forge(VERSION, body))
+        p.write_bytes(forge(body))
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match="truncated"):
@@ -626,7 +545,7 @@ class TestStreamingLoad:
             def digest(self):
                 return self.inner.digest()
 
-        monkeypatch.setitem(checkpoint._FORMATS, VERSION, (CutOnFirstUpdate, True))
+        monkeypatch.setattr(checkpoint, "hashlib", SimpleNamespace(sha256=CutOnFirstUpdate))
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(p)
 
@@ -652,7 +571,7 @@ class TestStreamingLoad:
                     fh.write(rewritten)
                 return self.inner.digest()
 
-        monkeypatch.setitem(checkpoint._FORMATS, VERSION, (RewriteOnDigest, True))
+        monkeypatch.setattr(checkpoint, "hashlib", SimpleNamespace(sha256=RewriteOnDigest))
         back = load_checkpoint(p)
         assert p.read_bytes() == rewritten
         for name, arr in state.opt_v.items():

@@ -8,7 +8,14 @@ import pytest
 
 from waveray import cli
 from waveray.autodiff import get_precision, precision
-from waveray.checkpoint import MAGIC, CheckpointState, load_checkpoint, save_checkpoint
+from waveray.checkpoint import (
+    MAGIC,
+    VERSION,
+    CheckpointState,
+    fnv1a,
+    load_checkpoint,
+    save_checkpoint,
+)
 from waveray.cli import _checkpoint_model, build_configs, main, parse_config_file
 from waveray.data import load_dataset, write_pnm
 from waveray.errors import ConfigError
@@ -302,10 +309,26 @@ class TestEval:
     def test_non_object_config_blob_is_an_error_line(self, synth_dir, tmp_path, capsys):
         body = struct.pack("<I", 2) + b"[]" + struct.pack("<I", 0)
         p = tmp_path / "list.wrnc"
-        p.write_bytes(MAGIC + struct.pack("<I", 2) + body
-                      + hashlib.blake2b(body, digest_size=8).digest())
+        p.write_bytes(MAGIC + struct.pack("<I", VERSION) + body
+                      + hashlib.sha256(body).digest()[:8])
         assert run_cli("eval", "--checkpoint", p, "--data", synth_dir) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad config blob" in err, err
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_is_an_error_line(self, trained_dir, synth_dir, tmp_path, capsys,
+                                            version):
+        """A trained checkpoint's body under an older version and a valid
+        trailer of that version's kind: FNV-1a (u64) or BLAKE2b-64."""
+        body = (trained_dir / "checkpoint_final.wrnc").read_bytes()[8:-8]
+        trailer = (struct.pack("<Q", fnv1a(body)) if version == 1
+                   else hashlib.blake2b(body, digest_size=8).digest())
+        p = tmp_path / "old.wrnc"
+        p.write_bytes(MAGIC + struct.pack("<I", version) + body + trailer)
+        assert run_cli("eval", "--checkpoint", p, "--data", synth_dir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"version {version} unsupported" in err, err
+        assert "re-save" in err
 
     @pytest.mark.parametrize("mutate", [
         lambda s: setattr(s, "precision", "half"),

@@ -202,6 +202,13 @@ class TestSyntheticSpec:
         with pytest.raises(ConfigError):
             SyntheticSpec(**patch).validate()
 
+    @pytest.mark.parametrize("patch", [{"per_class": 2.5}, {"extent": 32.0}, {"seed": 1.5}])
+    def test_wrong_field_types_are_refused_before_writing(self, tmp_path, patch):
+        field = next(iter(patch))
+        with pytest.raises(ConfigError, match=f"{field} must be of type int"):
+            synth_generate(SyntheticSpec(**patch), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSynthRender:
     def test_shape_and_dtype(self):

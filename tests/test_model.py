@@ -9,6 +9,7 @@ import pytest
 from waveray import rays
 from waveray.autodiff import Tape, Tensor, backward, precision
 from waveray.backbone import BackboneConfig
+from waveray.data import Dataset
 from waveray.errors import ConfigError, DataError, ShapeError
 from waveray.model import (
     ModelConfig,
@@ -19,7 +20,7 @@ from waveray.model import (
     table1_config,
 )
 from waveray.optim import AdamW
-from waveray.train import TrainConfig
+from waveray.train import TrainConfig, evaluate
 
 
 class TestModelConfig:
@@ -218,6 +219,20 @@ class TestClassifier:
         b = WaveletClassifier(desk_config(rays=0), seed=1).forward(Tensor(x)).data
         assert np.abs(a - b).max() > 1e-6
 
+    def test_images_of_another_dtype_are_refused(self, rng):
+        """A forward would otherwise promote a float32 model's logits to float64."""
+        x = rng.normal(size=(2, 3, 32, 32))
+        single = WaveletClassifier(desk_config(rays=3), seed=0)
+        dataset = Dataset(x.astype(np.float32), np.array([0, 1]), ["a", "b", "c"])
+        with precision("double"):
+            with pytest.raises(ConfigError, match="float64.*float32"):
+                single.forward(Tensor(x))
+            with pytest.raises(ConfigError, match="float64.*float32"):
+                evaluate(single, dataset)
+            double = WaveletClassifier(desk_config(rays=3), seed=0)
+        with pytest.raises(ConfigError, match="float32.*float64"):
+            double.forward(Tensor(x))
+
     def test_state_round_trip(self, rng):
         model = WaveletClassifier(desk_config(rays=1), seed=0)
         saved = {k: v.copy() for k, v in model.state_arrays().items()}
@@ -312,8 +327,8 @@ def _assert_maps_fresh(model, x):
 
 
 class TestRayMapMemo:
-    """Untaped forwards reuse each field's maps until a parameter value, the
-    ambient precision or the extent changes."""
+    """Untaped forwards reuse each field's maps until a parameter value or the
+    extent changes; a forward under another precision is refused."""
 
     def test_untaped_forwards_compute_each_map_once(self, computed_maps, rng):
         model = WaveletClassifier(desk_config(rays=3), seed=0)
@@ -360,8 +375,8 @@ class TestRayMapMemo:
         model = WaveletClassifier(desk_config(rays=3), seed=0)
         x = rng.normal(size=(1, 3, 32, 32))
         model.forward(Tensor(x))
-        with precision("double"):
-            _assert_maps_fresh(model, Tensor(x))
+        with precision("double"), pytest.raises(ConfigError, match="float64"):
+            model.forward(Tensor(x))
         _assert_maps_fresh(model, Tensor(x))
 
     def test_taped_step_after_untaped_forwards_gives_the_same_gradients(self, rng):
