@@ -3,7 +3,7 @@
 Layout (integers little-endian):
 
     magic   b"WRNC"
-    u32     format version (currently 3)
+    u32     format version, 3
     u32     config length, then that many bytes of UTF-8 JSON
     u32     record count
     records u16 name length | name UTF-8 | u8 dtype code | u8 rank
