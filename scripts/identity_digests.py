@@ -34,10 +34,12 @@ A change that claims no behaviour change should leave this output unchanged:
 
     python3 scripts/identity_digests.py --against HEAD   # or any other git revision
 
-With ``--against REV`` it exports ``src/`` at REV into a temporary directory
-with ``git archive``, computes the same digests there in a subprocess while
-it computes this checkout's, and prints only the lines that differ, as a
-unified diff from REV to this checkout; it exits 1 if any line differs.
+With ``--against REV`` it exports ``src/`` and ``scripts/`` at REV into a
+temporary directory with ``git archive``, runs REV's own copy of this script
+there in a subprocess while it computes this checkout's digests, and prints
+only the lines that differ, as a unified diff from REV to this checkout; it
+exits 1 if any line differs.  Each side thus calls only the API of its own
+``src/``.
 ``--against HEAD`` checks an uncommitted change.
 
 It imports ``waveray`` from the ``src/`` next to its own ``scripts/`` folder
@@ -61,7 +63,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from waveray.autodiff import Tape, Tensor, backward, precision  # noqa: E402
+from waveray.autodiff import Tape, Tensor, backward  # noqa: E402
 from waveray.checkpoint import load_checkpoint  # noqa: E402
 from waveray.cli import main as waveray  # noqa: E402
 from waveray.data import load_dataset  # noqa: E402
@@ -124,17 +126,16 @@ def logits_digest(checkpoint: Path, data: Path) -> str:
     return h.hexdigest()
 
 
-def grads_digest(mode: str, rays: int) -> str:
+def grads_digest(dtype, rays: int) -> str:
     """Digest of every parameter's gradient, in name order, after one taped
-    desk step with ray budget ``rays`` on 64 random images at precision ``mode``."""
-    with precision(mode):
-        model = WaveletClassifier(desk_config(rays=rays), seed=0)
-        gen = np.random.default_rng(0)
-        images = Tensor(gen.normal(size=(64, 3, 32, 32)))
-        labels = gen.integers(0, 3, size=64)
-        with Tape() as tape:
-            loss = cross_entropy(model.forward(images), labels)
-        backward(loss, tape)
+    desk step of a ``dtype`` model with ray budget ``rays`` on 64 random images."""
+    model = WaveletClassifier(desk_config(rays=rays), seed=0, dtype=dtype)
+    gen = np.random.default_rng(0)
+    images = gen.normal(size=(64, 3, 32, 32))
+    labels = gen.integers(0, 3, size=64)
+    with Tape() as tape:
+        loss = cross_entropy(model.forward(images), labels)
+    backward(loss, tape)
     h = hashlib.blake2b(digest_size=8)
     for name, param in sorted(model.parameters().items()):
         h.update(name.encode() + param.grad.tobytes())
@@ -192,24 +193,22 @@ def digest_lines() -> list:
         for scope in ("block", "op", "model"):
             gradcheck = run(["gradcheck", "--scope", scope, "--seed", "0"])
             lines.append(f"{digest(gradcheck.encode())}  stdout/gradcheck-{scope}")
-    for rays, mode, dtype in ((3, "single", "float32"), (3, "double", "float64"),
-                              (0, "single", "float32")):
-        lines.append(f"{grads_digest(mode, rays)}  grads/desk-rays{rays}-batch64-{dtype}")
+    for rays, dtype in ((3, np.float32), (3, np.float64), (0, np.float32)):
+        name = f"desk-rays{rays}-batch64-{np.dtype(dtype).name}"
+        lines.append(f"{grads_digest(dtype, rays)}  grads/{name}")
     lines.append(f"{table1_optimizer_digest()}  optim/table1-rays0-2steps")
     return lines
 
 
 def against(rev: str) -> int:
-    """Print the lines that differ between ``src/`` at ``rev`` and this
-    checkout; return 1 if any does."""
+    """Print the lines that differ between ``rev``'s digests, made by its own
+    copy of this script, and this checkout's; return 1 if any does."""
     with tempfile.TemporaryDirectory() as tmp:
-        archive = Path(tmp) / "src.tar"
-        subprocess.run(["git", "archive", f"--output={archive}", rev, "src"], cwd=ROOT,
-                       check=True)
+        archive = Path(tmp) / "tree.tar"
+        subprocess.run(["git", "archive", f"--output={archive}", rev, "src", "scripts"],
+                       cwd=ROOT, check=True)
         shutil.unpack_archive(archive, tmp)
-        (Path(tmp) / "scripts").mkdir()
-        script = shutil.copy(__file__, Path(tmp) / "scripts")
-        child = [sys.executable, script]
+        child = [sys.executable, str(Path(tmp) / "scripts" / Path(__file__).name)]
         with subprocess.Popen(child, stdout=subprocess.PIPE, text=True) as theirs:
             ours = digest_lines()
             out = theirs.stdout.read()
@@ -225,7 +224,7 @@ def against(rev: str) -> int:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--against", metavar="REV",
-                        help="print only the lines that differ from src/ at this git revision")
+                        help="print only the lines that differ from this git revision's")
     args = parser.parse_args()
     if args.against:
         sys.exit(against(args.against))

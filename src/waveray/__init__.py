@@ -2,15 +2,7 @@
 built on a small tape-based reverse-mode autodiff core."""
 
 from . import autodiff, backbone, checkpoint, data, fft, gradcheck, model, ops, optim, rays, train
-from .autodiff import (
-    Tape,
-    Tensor,
-    backward,
-    default_dtype,
-    get_precision,
-    precision,
-    set_precision,
-)
+from .autodiff import Tape, Tensor, backward
 from .backbone import BackboneConfig, FeaturePyramid, WaveFilterPair, wave_decompose
 from .checkpoint import CheckpointState, load_checkpoint, save_checkpoint
 from .data import Dataset, SyntheticSpec, load_dataset, read_image, synth_generate

@@ -10,14 +10,14 @@ value's first gradient is stored as it is and later ones are added to it.
 Nothing writes into a stored gradient in place, and calling backward twice
 without clearing doubles the stored gradients.
 
-A global precision switch selects float32 (training) or float64 (gradient
-checking) for newly created leaf tensors.  Operations inherit the dtype of
-their inputs, so a graph built from double leaves stays double end to end.
+No global state picks a dtype.  A leaf tensor keeps float32 or float64
+data as it is and stores any other data as float64; operations inherit the
+dtype of their inputs, so a graph built from double leaves stays double end
+to end.  A model's parameters therefore decide its dtype: float32 to train,
+float64 to check gradients.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -33,38 +33,10 @@ from .errors import (
 )
 
 _DTYPES = {"single": np.float32, "double": np.float64}
-_PRECISION = "single"
+_FLOATS = tuple(np.dtype(t) for t in _DTYPES.values())
 _CHECK_FINITE = False
 
 _TAPES: list = []  # active tapes, innermost last
-
-
-def set_precision(mode: str) -> None:
-    """Select the dtype used for newly created leaf tensors."""
-    global _PRECISION
-    if mode not in _DTYPES:
-        raise ConfigError(f"precision must be one of {sorted(_DTYPES)}, got {mode!r}")
-    _PRECISION = mode
-
-
-def get_precision() -> str:
-    return _PRECISION
-
-
-def default_dtype() -> np.dtype:
-    return np.dtype(_DTYPES[_PRECISION])
-
-
-@contextmanager
-def precision(mode: str):
-    """Temporarily switch the global precision (used by gradient checks)."""
-    global _PRECISION
-    old = _PRECISION
-    set_precision(mode)
-    try:
-        yield
-    finally:
-        _PRECISION = old
 
 
 def set_check_finite(enabled: bool) -> None:
@@ -76,16 +48,19 @@ def set_check_finite(enabled: bool) -> None:
 class Tensor:
     """A dense n-dimensional array, optionally tracking gradients.
 
-    Tensors built directly (leaves) are cast to the current default dtype
-    and stored contiguously.  Tensors produced by operations keep their
-    computed dtype.  Data is treated as immutable once an op has consumed
-    it; only the optimizer rewrites leaf ``data``, between recorded steps.
+    Tensors built directly (leaves) keep float32 or float64 data as it is,
+    store any other data as float64, and are stored contiguously.  Tensors
+    produced by operations keep their computed dtype.  Data is treated as
+    immutable once an op has consumed it; only the optimizer rewrites leaf
+    ``data``, between recorded steps.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(data, dtype=default_dtype())
+        arr = np.ascontiguousarray(data)
+        if arr.dtype not in _FLOATS:
+            arr = arr.astype(np.float64)
         if _CHECK_FINITE and not np.all(np.isfinite(arr)):
             raise NonFiniteError("leaf tensor contains NaN or Inf")
         self.data = arr
@@ -162,16 +137,18 @@ class Module:
 
 def check_state(label: str, params: dict, arrays: dict) -> None:
     """Raise ``ConfigError`` unless ``arrays`` holds an entry of each parameter's
-    name and shape, and no other; ``label`` names the arrays in the message."""
+    name, shape and dtype, and no other; ``label`` names the arrays in the message."""
     missing = sorted(set(params) - set(arrays))
     extra = sorted(set(arrays) - set(params))
     if missing or extra:
         raise ConfigError(f"{label} does not match the parameters: "
                           f"missing {missing}, unexpected {extra}")
     for name, p in params.items():
-        shape = np.shape(arrays[name])
-        if shape != p.shape:
-            raise ConfigError(f"{label}[{name!r}] has shape {shape}, expected {p.shape}")
+        arr = np.asarray(arrays[name])
+        if arr.shape != p.shape:
+            raise ConfigError(f"{label}[{name!r}] has shape {arr.shape}, expected {p.shape}")
+        if arr.dtype != p.dtype:
+            raise ConfigError(f"{label}[{name!r}] is {arr.dtype}, expected {p.dtype}")
 
 
 class LayerNorm(Module):

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, precision
+from .autodiff import _DTYPES
 from .backbone import BackboneConfig
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointState, load_checkpoint
 from .data import (
     SyntheticSpec,
     export_map,
@@ -138,44 +137,42 @@ def _set_pair(text: str) -> tuple[str, str]:
 
 def cmd_train(args) -> int:
     model_cfg, train_cfg = build_configs(_merge_cli_values(args))
-    with precision(train_cfg.precision):
-        dataset = load_dataset(args.data, classes=model_cfg.classes)
-        if dataset.extent != model_cfg.input_extent:
-            raise ConfigError(
-                f"dataset extent {dataset.extent} does not match configured input extent "
-                f"{model_cfg.input_extent}"
-            )
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.txt").write_text(_effective_config_text(model_cfg, train_cfg),
-                                            encoding="utf-8")
-        model = WaveletClassifier(model_cfg, seed=train_cfg.seed)
-        history = train(model, dataset, train_cfg, out_dir=out_dir)
+    dataset = load_dataset(args.data, classes=model_cfg.classes)
+    if dataset.extent != model_cfg.input_extent:
+        raise ConfigError(
+            f"dataset extent {dataset.extent} does not match configured input extent "
+            f"{model_cfg.input_extent}"
+        )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.txt").write_text(_effective_config_text(model_cfg, train_cfg),
+                                        encoding="utf-8")
+    model = WaveletClassifier(model_cfg, seed=train_cfg.seed, dtype=_DTYPES[train_cfg.precision])
+    history = train(model, dataset, train_cfg, out_dir=out_dir)
     epoch, final, lr = history[-1]
     print(METRICS_HEADER)
     print(final.csv_row(epoch, lr))
     return 0
 
 
-@contextmanager
-def _checkpoint_model(path):
-    """Rebuild a checkpoint's model, keeping its stored precision active while in use."""
+def _checkpoint_model(path) -> tuple[WaveletClassifier, CheckpointState]:
+    """Rebuild a checkpoint's model in its stored precision's dtype, with its
+    stored weights; returns the model and the loaded state."""
     state = load_checkpoint(path)
     try:
         config = ModelConfig.from_dict(state.model_config)
         config.validate()  # a stored value of the wrong type or range fails here as a ConfigError
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad stored model config: {type(e).__name__}: {e}") from None
-    with precision(state.precision):
-        model = WaveletClassifier(config, seed=0)
-        model.load_state(state.params)
-        yield model, state
+    model = WaveletClassifier(config, seed=0, dtype=_DTYPES[state.precision])
+    model.load_state(state.params)
+    return model, state
 
 
 def cmd_eval(args) -> int:
-    with _checkpoint_model(args.checkpoint) as (model, state):
-        dataset = load_dataset(args.data, classes=model.config.classes)
-        metrics = evaluate(model, dataset, batch_size=args.batch_size)
+    model, state = _checkpoint_model(args.checkpoint)
+    dataset = load_dataset(args.data, classes=model.config.classes)
+    metrics = evaluate(model, dataset, batch_size=args.batch_size)
     print(METRICS_HEADER)
     print(metrics.csv_row(state.epoch, 0))
     return 0
@@ -200,10 +197,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_maps(args) -> int:
-    with _checkpoint_model(args.checkpoint) as (model, state):
-        if model.config.rays < 1:
-            raise ConfigError("checkpoint has no ray layers to export")
-        _, aux = model.forward_with_aux(Tensor(read_image(args.image)[None]))
+    model, state = _checkpoint_model(args.checkpoint)
+    if model.config.rays < 1:
+        raise ConfigError("checkpoint has no ray layers to export")
+    _, aux = model.forward_with_aux(read_image(args.image)[None])
     maps = aux["maps"]
     if not 0 <= args.layer < len(maps):
         raise ConfigError(f"layer must lie in [0, {len(maps)}), got {args.layer}")

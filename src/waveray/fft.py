@@ -2,7 +2,7 @@
 
 The forward transform is unnormalized; the inverse carries the full
 1/(H*W) factor.  Transforms are computed and returned in complex128
-regardless of the ambient precision; callers cast the real part back.
+whatever the input's dtype; callers cast the real part back to it.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ops
-from .autodiff import Tape, Tensor, backward, precision
+from .autodiff import Tape, Tensor, backward
 from .backbone import (
     PAIRS,
     BackboneConfig,
@@ -57,46 +57,46 @@ def finite_diff_check(builder, seed: int = 0, tol: float = DEFAULT_TOL) -> dict[
     ``builder(rng)`` returns ``(run, inputs)`` where ``run()`` recomputes the
     probe's output from the current data of the ``inputs`` dict.  A
     non-scalar output is checked through its sum weighted by standard
-    normal draws, taken from ``rng`` after the builder's own draws.  Runs in
-    double precision regardless of the ambient mode.
+    normal draws, taken from ``rng`` after the builder's own draws.  Every
+    probe here draws its leaves in float64, so the check runs in double
+    precision.
     """
     last: dict[str, float] = {}
-    with precision("double"):
-        for attempt in range(ATTEMPTS):
-            rng = np.random.default_rng(seed + 1000 * attempt)
-            run, inputs = builder(rng)
-            for t in inputs.values():
-                t.grad = None
-            with Tape() as tape:
-                out = run()
-                weights = Tensor(rng.normal(0.0, 1.0, out.shape)) if out.ndim else None
-                loss = _weighted(out, weights)
-            backward(loss, tape)
-            coord_rng = np.random.default_rng(seed + 1000 * attempt + 1)
-            report: dict[str, float] = {}
-            for name, t in inputs.items():
-                if not t.requires_grad:
-                    continue
-                flat = t.data.reshape(-1)
-                grad = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
-                count = min(N_SAMPLES, flat.size)
-                picks = coord_rng.choice(flat.size, size=count, replace=False)
-                worst = 0.0
-                for i in picks:
-                    saved = flat[i]
-                    flat[i] = saved + STEP
-                    up = _weighted(run(), weights).item()
-                    flat[i] = saved - STEP
-                    down = _weighted(run(), weights).item()
-                    flat[i] = saved
-                    numeric = (up - down) / (2.0 * STEP)
-                    analytic = float(grad[i])
-                    err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-                    worst = max(worst, err if np.isfinite(err) else np.inf)
-                report[name] = worst
-            last = report
-            if all(v <= tol for v in report.values()):
-                return report
+    for attempt in range(ATTEMPTS):
+        rng = np.random.default_rng(seed + 1000 * attempt)
+        run, inputs = builder(rng)
+        for t in inputs.values():
+            t.grad = None
+        with Tape() as tape:
+            out = run()
+            weights = Tensor(rng.normal(0.0, 1.0, out.shape)) if out.ndim else None
+            loss = _weighted(out, weights)
+        backward(loss, tape)
+        coord_rng = np.random.default_rng(seed + 1000 * attempt + 1)
+        report: dict[str, float] = {}
+        for name, t in inputs.items():
+            if not t.requires_grad:
+                continue
+            flat = t.data.reshape(-1)
+            grad = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
+            count = min(N_SAMPLES, flat.size)
+            picks = coord_rng.choice(flat.size, size=count, replace=False)
+            worst = 0.0
+            for i in picks:
+                saved = flat[i]
+                flat[i] = saved + STEP
+                up = _weighted(run(), weights).item()
+                flat[i] = saved - STEP
+                down = _weighted(run(), weights).item()
+                flat[i] = saved
+                numeric = (up - down) / (2.0 * STEP)
+                analytic = float(grad[i])
+                err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+                worst = max(worst, err if np.isfinite(err) else np.inf)
+            report[name] = worst
+        last = report
+        if all(v <= tol for v in report.values()):
+            return report
     return last
 
 
@@ -264,7 +264,7 @@ def _probe_model(rng):
         input_extent=32,
         n_origins=3,
     )
-    model = WaveletClassifier(cfg, seed=int(rng.integers(0, 2**31)))
+    model = WaveletClassifier(cfg, seed=int(rng.integers(0, 2**31)), dtype=np.float64)
     images = Tensor(rng.normal(0.5, 0.25, size=(2, 3, 32, 32)), requires_grad=True)
     labels = rng.integers(0, 3, size=2)
     inputs = {"images": images, **model.parameters()}

@@ -127,9 +127,14 @@ def cross_entropy(logits, labels) -> Tensor:
 
 
 class WaveletClassifier(Module):
-    """The full model: wavelet backbone, optional encoder, linear head."""
+    """The full model: wavelet backbone, optional encoder, linear head.
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    Initial values are drawn in float64 and each parameter is then cast once
+    to ``dtype``; the parameters' dtype is the model's, and forwards compute
+    in it.
+    """
+
+    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         config.validate()
         self.config = config
         rng = np.random.default_rng(seed)
@@ -159,6 +164,8 @@ class WaveletClassifier(Module):
             head_in = rc[-1]
         self.head = Affine(rng.normal(0.0, 0.02, (head_in, config.classes)), config.classes)
         self._params = dict(self.named_params())
+        for p in self._params.values():
+            p.data = p.data.astype(dtype, copy=False)
 
     def parameters(self) -> dict[str, Tensor]:
         return self._params
@@ -180,11 +187,17 @@ class WaveletClassifier(Module):
         return self.forward_with_aux(images)[0]
 
     def forward_with_aux(self, images) -> tuple[Tensor, dict]:
+        """Logits in the parameters' dtype, plus the feature pyramid, the ray
+        maps and the pooled features.  Images that need no gradient are
+        converted to that dtype; images that need one must already have it."""
         images = _as_tensor(images)
         self._check_images(images)
-        if images.dtype != self.head.w.dtype:  # numpy would promote float32 to float64
-            raise ConfigError(f"images are {images.dtype}, but the model's parameters are "
-                              f"{self.head.w.dtype}")
+        dtype = self.head.w.dtype
+        if images.dtype != dtype:
+            if images.requires_grad:  # a converted copy would not pass the gradient back
+                raise ConfigError(f"images that need a gradient are {images.dtype}, but the "
+                                  f"model's parameters are {dtype}")
+            images = Tensor(images.data.astype(dtype))
         x = self.stem.forward(images)
         for stage in self.extracts:
             x = stage.forward(x)
@@ -213,10 +226,11 @@ class WaveletClassifier(Module):
         return {name: p.data for name, p in self._params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy in each parameter's array; a bad set raises and changes nothing."""
+        """Take in each parameter's array, which must have its name, shape and
+        dtype; a bad set raises ConfigError and changes nothing."""
         check_state("state", self._params, arrays)
         for name, p in self._params.items():
-            p.data = np.ascontiguousarray(arrays[name], dtype=p.dtype)
+            p.data = np.ascontiguousarray(arrays[name])
             p.grad = None
 
     def ray_fields(self) -> list[RayField]:

@@ -128,19 +128,17 @@ class AdamW:
     def load_state(self, m: dict, v: dict, step: int) -> None:
         """Resume from exported moments and step counter.
 
-        ``m`` and ``v`` each hold an entry of the parameter's shape for every
-        parameter and no other, or are both empty (a state before the first
-        step); anything else is a ``ConfigError`` and changes nothing.  The
-        moments are copied, so later steps never write into the caller's
-        arrays.
+        ``m`` and ``v`` each hold an entry of the parameter's shape and dtype
+        for every parameter and no other, or are both empty (a state before
+        the first step); anything else is a ``ConfigError`` and changes
+        nothing.  The moments are copied, so later steps never write into the
+        caller's arrays.
         """
         if m or v:
             check_state("moment m", self.params, m)
             check_state("moment v", self.params, v)
-        self.state.m = {name: np.array(m[name], dtype=p.dtype, order="C")
-                        for name, p in self.params.items() if name in m}
-        self.state.v = {name: np.array(v[name], dtype=p.dtype, order="C")
-                        for name, p in self.params.items() if name in v}
+        self.state.m = {name: np.array(m[name], order="C") for name in self.params if name in m}
+        self.state.v = {name: np.array(v[name], order="C") for name in self.params if name in v}
         self.state.step = int(step)
 
 

@@ -13,9 +13,9 @@ nothing; the shared gain beta is a plain scalar.
 
 A field's maps depend on its parameters and the grid extents, never on the
 image.  With no tape active, :meth:`RayField.attenuation_map` therefore
-serves them from a memo keyed on the ambient dtype and the parameters'
-values, so serving and evaluation pay for the map once per parameter update
-instead of once per forward.  Under a tape the maps are recorded as usual,
+serves them from a memo keyed on the parameters' dtypes and values, so
+serving and evaluation pay for the map once per parameter update instead
+of once per forward.  Under a tape the maps are recorded as usual,
 so gradients flow to the field.
 """
 
@@ -125,11 +125,11 @@ class RayField(Module):
         Under an active tape this records the grid -> distance matrix ->
         attenuation chain, so gradients reach the field.  With no tape the
         maps come from a memo with one entry per extent, so a field shared by
-        layers of two extents keeps both.  An entry's key is the ambient dtype
-        (the grid is cast to it) and the dtype, shape and bytes of each of the
-        four parameters: keying on values, not on array identity, makes an
-        in-place edit (as finite differences do), an optimizer step, a loaded
-        state or a precision switch miss and recompute.  A miss replaces its
+        layers of two extents keeps both.  An entry's key is the dtype, shape
+        and bytes of each of the four parameters (the grid takes the origins'
+        dtype): keying on values, not on array identity, makes an in-place
+        edit (as finite differences do), an optimizer step, a loaded state or
+        a cast miss and recompute.  A miss replaces its
         extent's entry, so the memo stays as small as the maps themselves.
         The stored arrays are read-only, because every hit hands the same
         arrays out again, wrapped in fresh tensors.
@@ -137,13 +137,14 @@ class RayField(Module):
         taped = ad.active_tape() is not None
         if not taped:
             params = (self.origins, self.log_sigma, self.log_alpha, self.beta)
-            key = (ad.default_dtype(), *((p.dtype, p.shape, p.data.tobytes()) for p in params))
+            key = tuple((p.dtype, p.shape, p.data.tobytes()) for p in params)
             entry = self._maps.get((h, w))
             if entry is not None and entry[0] == key:
                 requires = any(p.requires_grad for p in params)
                 return AttenuationMap(Tensor._from_op(entry[1], requires),
                                       Tensor._from_op(entry[2], requires), (h, w))
-        dist = distance_matrix(self.origins, Tensor(pixel_grid(h, w).coords))
+        coords = pixel_grid(h, w).coords.astype(self.origins.dtype, copy=False)
+        dist = distance_matrix(self.origins, Tensor(coords))
         amap = attenuation(dist, self, extents=(h, w))
         if not taped:
             amap.per_origin.data.setflags(write=False)

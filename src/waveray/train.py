@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import _DTYPES, Tape, Tensor, backward, precision
+from .autodiff import _DTYPES, Tape, Tensor, backward
 from .checkpoint import CheckpointState, save_checkpoint
 from .data import Dataset, write_origin_csv
 from .errors import ConfigError, DataError, DivergenceError, check_field_types
@@ -138,10 +138,10 @@ def origin_rows(model: WaveletClassifier, epoch: int) -> list[tuple[int, int, fl
 
 def train(model: WaveletClassifier, dataset: Dataset, cfg: TrainConfig, out_dir=None,
           log_stream=None) -> list[tuple[int, Metrics, float]]:
-    """Optimize the model in place under ``cfg.precision``; returns (epoch, metrics, lr) history.
+    """Optimize the model in place; returns (epoch, metrics, lr) history.
 
     Raises ConfigError, before writing anything, when a parameter's dtype is
-    not that precision's, and DivergenceError as soon as a batch loss goes non-finite.
+    not ``cfg.precision``'s, and DivergenceError as soon as a batch loss goes non-finite.
     """
     cfg.validate()
     if len(dataset) == 0:
@@ -165,46 +165,45 @@ def train(model: WaveletClassifier, dataset: Dataset, cfg: TrainConfig, out_dir=
     metric_lines = [METRICS_HEADER]
     step = 0
     lr = 0.0
-    with precision(cfg.precision):
-        for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(n)
-            t0 = time.perf_counter()
-            for s in range(steps_per_epoch):
-                batch = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
-                xb = Tensor(dataset.images[batch])
-                yb = dataset.labels[batch]
-                lr = one_cycle_cosine_lr(step, total_steps, cfg.peak_lr, cfg.warmup_fraction)
-                model.zero_grads()
-                with Tape() as tape:
-                    loss = cross_entropy(model.forward(xb), yb)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise DivergenceError(
-                        f"non-finite loss at step {step} (epoch {epoch}): {value}")
-                backward(loss, tape)
-                opt.step(lr)
-                step += 1
-            train_seconds = max(time.perf_counter() - t0, 1e-9)
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        t0 = time.perf_counter()
+        for s in range(steps_per_epoch):
+            batch = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
+            xb = Tensor(dataset.images[batch])
+            yb = dataset.labels[batch]
+            lr = one_cycle_cosine_lr(step, total_steps, cfg.peak_lr, cfg.warmup_fraction)
+            model.zero_grads()
+            with Tape() as tape:
+                loss = cross_entropy(model.forward(xb), yb)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise DivergenceError(
+                    f"non-finite loss at step {step} (epoch {epoch}): {value}")
+            backward(loss, tape)
+            opt.step(lr)
+            step += 1
+        train_seconds = max(time.perf_counter() - t0, 1e-9)
 
-            metrics = evaluate(model, dataset)
-            metrics.images_per_second = n / train_seconds
-            history.append((epoch, metrics, lr))
-            line = metrics.csv_row(epoch, lr)
-            metric_lines.append(line)
-            print(f"[epoch {epoch}/{cfg.epochs}] {line}", file=log)
-            origins += origin_rows(model, epoch)
-            if out_dir is not None:
-                # rewritten every epoch, so a run that diverges later keeps the epochs it finished
-                (out_dir / "metrics.csv").write_text("\n".join(metric_lines) + "\n",
-                                                     encoding="utf-8")
-                if origins:
-                    write_origin_csv(out_dir / "origins.csv", origins)
-                if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-                    _save(model, opt, cfg, rng, epoch, out_dir / f"checkpoint_{epoch:05d}.wrnc")
-
+        metrics = evaluate(model, dataset)
+        metrics.images_per_second = n / train_seconds
+        history.append((epoch, metrics, lr))
+        line = metrics.csv_row(epoch, lr)
+        metric_lines.append(line)
+        print(f"[epoch {epoch}/{cfg.epochs}] {line}", file=log)
+        origins += origin_rows(model, epoch)
         if out_dir is not None:
-            _save(model, opt, cfg, rng, cfg.epochs, out_dir / "checkpoint_final.wrnc")
-        return history
+            # rewritten every epoch, so a run that diverges later keeps the epochs it finished
+            (out_dir / "metrics.csv").write_text("\n".join(metric_lines) + "\n",
+                                                 encoding="utf-8")
+            if origins:
+                write_origin_csv(out_dir / "origins.csv", origins)
+            if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
+                _save(model, opt, cfg, rng, epoch, out_dir / f"checkpoint_{epoch:05d}.wrnc")
+
+    if out_dir is not None:
+        _save(model, opt, cfg, rng, cfg.epochs, out_dir / "checkpoint_final.wrnc")
+    return history
 
 
 def _save(model, opt: AdamW, cfg: TrainConfig, rng, epoch: int, path) -> None:

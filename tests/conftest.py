@@ -1,16 +1,6 @@
 import numpy as np
 import pytest
 
-from waveray.autodiff import set_precision
-
-
-@pytest.fixture(autouse=True)
-def _single_precision_default():
-    """Tests that need doubles opt in via the precision() context."""
-    set_precision("single")
-    yield
-    set_precision("single")
-
 
 @pytest.fixture
 def rng():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
-from waveray.autodiff import Tensor, precision
+from waveray.autodiff import Tensor
 from waveray.backbone import WaveFilterPair, wave_decompose
 from waveray.checkpoint import load_checkpoint
 from waveray.data import Dataset, load_dataset, synth_generate, SyntheticSpec
@@ -194,41 +194,40 @@ def test_criterion_4_oracle_equivalences(acceptance_report):
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     worst_conv = 0.0
-    with precision("double"):
-        for _ in range(50):
-            groups = int(rng.integers(1, 3))
-            cpg = int(rng.integers(1, 3))
-            opg = int(rng.integers(1, 3))
-            kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
-            padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-            h = int(rng.integers(kh, kh + 5))
-            w = int(rng.integers(kw, kw + 5))
-            x = rng.normal(size=(int(rng.integers(1, 3)), groups * cpg, h, w))
-            k = rng.normal(size=(groups * opg, cpg, kh, kw))
-            got = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding,
-                         groups=groups).data
-            want = _conv_oracle(x, k, stride, padding, groups)
-            scale = max(np.abs(want).max(), 1e-12)
-            worst_conv = max(worst_conv, np.abs(got - want).max() / scale)
+    for _ in range(50):
+        groups = int(rng.integers(1, 3))
+        cpg = int(rng.integers(1, 3))
+        opg = int(rng.integers(1, 3))
+        kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+        padding = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+        h = int(rng.integers(kh, kh + 5))
+        w = int(rng.integers(kw, kw + 5))
+        x = rng.normal(size=(int(rng.integers(1, 3)), groups * cpg, h, w))
+        k = rng.normal(size=(groups * opg, cpg, kh, kw))
+        got = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding,
+                     groups=groups).data
+        want = _conv_oracle(x, k, stride, padding, groups)
+        scale = max(np.abs(want).max(), 1e-12)
+        worst_conv = max(worst_conv, np.abs(got - want).max() / scale)
 
-        worst_wave = 0.0
-        for stride in (1, 2):
-            x = rng.normal(size=(2, 3, 8, 8))
-            filters = WaveFilterPair()
-            filters.low = Tensor(rng.normal(size=3))
-            filters.high = Tensor(rng.normal(size=5))
-            got = wave_decompose(Tensor(x), filters, stride=stride)
-            want = _decompose_oracle(x, filters.low.data, filters.high.data, stride)
-            for g, o in zip(got, want):
-                scale = max(np.abs(o).max(), 1e-12)
-                worst_wave = max(worst_wave, np.abs(g.data - o).max() / scale)
+    worst_wave = 0.0
+    for stride in (1, 2):
+        x = rng.normal(size=(2, 3, 8, 8))
+        filters = WaveFilterPair()
+        filters.low = Tensor(rng.normal(size=3))
+        filters.high = Tensor(rng.normal(size=5))
+        got = wave_decompose(Tensor(x), filters, stride=stride)
+        want = _decompose_oracle(x, filters.low.data, filters.high.data, stride)
+        for g, o in zip(got, want):
+            scale = max(np.abs(o).max(), 1e-12)
+            worst_wave = max(worst_wave, np.abs(g.data - o).max() / scale)
 
-        f = rng.normal(size=(1, 2, 8, 8))
-        mask = rng.normal(size=(8, 8))
-        got = spectral_modulate(Tensor(f), Tensor(mask)).data
-        want = _circular_conv(f, np.fft.ifft2(mask).real)
-        worst_spec = np.abs(got - want).max() / np.abs(want).max()
+    f = rng.normal(size=(1, 2, 8, 8))
+    mask = rng.normal(size=(8, 8))
+    got = spectral_modulate(Tensor(f), Tensor(mask)).data
+    want = _circular_conv(f, np.fft.ifft2(mask).real)
+    worst_spec = np.abs(got - want).max() / np.abs(want).max()
 
     elapsed = time.perf_counter() - t0
     ok = worst_conv < 1e-6 and worst_wave < 1e-6 and worst_spec < 1e-5 and elapsed < 120.0
@@ -243,17 +242,19 @@ def test_criterion_4_oracle_equivalences(acceptance_report):
 
 def test_criterion_5_attenuation_invariants(acceptance_report):
     t0 = time.perf_counter()
-    coords = Tensor(pixel_grid(6, 6).coords)
+    coords = Tensor(pixel_grid(6, 6).coords.astype(np.float32))
     worst_row = 0.0
     worst_combined = 0.0
     for seed in range(100):
         gen = np.random.default_rng(seed)
         n = int(gen.integers(2, 13))
         field = RayField(n)
-        field.origins = Tensor(gen.normal(size=(n, 2)), requires_grad=True)
-        field.log_sigma = Tensor(gen.normal(0.0, 0.4, size=n), requires_grad=True)
-        field.log_alpha = Tensor(gen.normal(0.0, 0.4, size=n), requires_grad=True)
-        field.beta = Tensor(gen.normal(1.0, 0.3, size=1), requires_grad=True)
+        field.origins = Tensor(gen.normal(size=(n, 2)).astype(np.float32), requires_grad=True)
+        field.log_sigma = Tensor(gen.normal(0.0, 0.4, size=n).astype(np.float32),
+                                 requires_grad=True)
+        field.log_alpha = Tensor(gen.normal(0.0, 0.4, size=n).astype(np.float32),
+                                 requires_grad=True)
+        field.beta = Tensor(gen.normal(1.0, 0.3, size=1).astype(np.float32), requires_grad=True)
         amap = attenuation(distance_matrix(field.origins, coords), field, extents=(6, 6))
         worst_row = max(worst_row, np.abs(amap.per_origin.data.sum(axis=1) - 1.0).max())
         worst_combined = max(worst_combined, abs(amap.combined.data.sum() - 1.0))
@@ -262,7 +263,10 @@ def test_criterion_5_attenuation_invariants(acceptance_report):
     worst_norm = np.abs(norms - 1.0).max()
 
     field = RayField(12)
-    maps = attenuation(distance_matrix(field.origins, Tensor(pixel_grid(8, 8).coords)),
+    for _, p in field.named_params():
+        p.data = p.data.astype(np.float32)
+    coords = Tensor(pixel_grid(8, 8).coords.astype(np.float32))
+    maps = attenuation(distance_matrix(field.origins, coords),
                        field, extents=(8, 8)).per_origin.data.reshape(12, 8, 8)
     worst_rot = max(
         np.abs(maps[(k + 3) % 12] - np.rot90(maps[k], k=-1)).max() for k in range(12)
@@ -377,24 +381,23 @@ def test_criterion_9_optimizer_closed_forms(acceptance_report):
 
     rng = np.random.default_rng(0)
     worst_opt = 0.0
-    with precision("double"):
-        params = {k: Tensor(rng.normal(size=3), requires_grad=True) for k in "abc"}
-        mirror = {k: p.data.copy() for k, p in params.items()}
-        m = {k: np.zeros(3) for k in params}
-        v = {k: np.zeros(3) for k in params}
-        state = OptimizerState()
-        lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
-        for t in range(1, 6):
-            for k, p in params.items():
-                p.grad = rng.normal(size=3)
-            adamw_step(params, state, lr=lr, weight_decay=wd)
-            for k, p in params.items():
-                g = p.grad
-                m[k] = b1 * m[k] + (1 - b1) * g
-                v[k] = b2 * v[k] + (1 - b2) * g * g
-                update = (m[k] / (1 - b1**t)) / (np.sqrt(v[k] / (1 - b2**t)) + eps)
-                mirror[k] = mirror[k] * (1 - lr * wd) - lr * update
-                worst_opt = max(worst_opt, np.abs(p.data - mirror[k]).max())
+    params = {k: Tensor(rng.normal(size=3), requires_grad=True) for k in "abc"}
+    mirror = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(3) for k in params}
+    v = {k: np.zeros(3) for k in params}
+    state = OptimizerState()
+    lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        for k, p in params.items():
+            p.grad = rng.normal(size=3)
+        adamw_step(params, state, lr=lr, weight_decay=wd)
+        for k, p in params.items():
+            g = p.grad
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            update = (m[k] / (1 - b1**t)) / (np.sqrt(v[k] / (1 - b2**t)) + eps)
+            mirror[k] = mirror[k] * (1 - lr * wd) - lr * update
+            worst_opt = max(worst_opt, np.abs(p.data - mirror[k]).max())
 
     ok = worst_knot < 1e-12 and worst_opt < 1e-12
     _report(acceptance_report, 9, ok, f"schedule knots {worst_knot:.1e}, optimizer trace {worst_opt:.1e} "

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveray import autodiff as ad
-from waveray.autodiff import Tape, Tensor, backward, precision
+from waveray.autodiff import Tape, Tensor, backward
 from waveray.errors import (
     BroadcastError,
-    ConfigError,
     DetachedGraphError,
     InvalidAxisError,
     NonScalarLossError,
@@ -27,30 +26,26 @@ def grads_of(fn, *leaves):
 
 
 class TestPrecision:
-    def test_default_is_float32(self):
-        assert Tensor(np.zeros(3)).dtype == np.float32
+    """A leaf keeps float32 or float64 data as it is; no global mode exists."""
 
-    def test_double_context(self):
-        with precision("double"):
-            assert Tensor(np.zeros(3)).dtype == np.float64
-        assert Tensor(np.zeros(3)).dtype == np.float32
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaf_keeps_float32_and_float64(self, dtype):
+        assert Tensor(np.zeros(3, dtype)).dtype == dtype
+        assert Tensor(np.zeros(3, dtype), requires_grad=True).dtype == dtype
+
+    @pytest.mark.parametrize("data", [[1.0, 2.0], [1, 2], np.arange(2), np.zeros(2, bool),
+                                      np.zeros(2, np.float16), np.zeros(2, ">f4")],
+                             ids=["float-list", "int-list", "int64", "bool", "float16",
+                                  "big-endian-float32"])
+    def test_other_data_is_stored_as_float64(self, data):
+        assert Tensor(data).dtype == np.float64
 
     def test_ops_inherit_leaf_dtype(self):
-        with precision("double"):
-            x = Tensor(np.ones(4))
+        x = Tensor(np.ones(4))
         out = ad.mul(x, x)
         assert out.dtype == np.float64
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            ad.set_precision("half")
-
-    def test_unknown_mode_is_a_config_error_and_keeps_the_mode(self):
-        with precision("double"):
-            with pytest.raises(ConfigError, match="precision"):
-                ad.set_precision("half")
-            assert ad.get_precision() == "double"
-        assert ad.get_precision() == "single"
+        single = Tensor(np.ones(4, np.float32))
+        assert ad.mul(single, single).dtype == np.float32
 
 
 class TestTapeMechanics:
@@ -289,7 +284,7 @@ class TestLayerNormPool:
 
     def test_global_avg_pool_values(self, rng):
         x = rng.normal(size=(2, 3, 4, 5))
-        out = ad.global_avg_pool(Tensor(x))
+        out = ad.global_avg_pool(Tensor(x.astype(np.float32)))
         np.testing.assert_allclose(out.data, x.astype(np.float32).mean(axis=(2, 3)), rtol=1e-5)
 
     def test_global_avg_pool_bits(self, rng):

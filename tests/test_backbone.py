@@ -5,7 +5,7 @@ import pytest
 from scipy.ndimage import correlate1d
 
 from waveray import autodiff as ad
-from waveray.autodiff import Tape, Tensor, backward, precision
+from waveray.autodiff import Tape, Tensor, backward
 from waveray.backbone import (
     DEFAULT_HIGH,
     DEFAULT_LOW,
@@ -60,14 +60,13 @@ class TestWaveDecompose:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("extent", [(8, 8), (6, 10), (12, 4)])
     def test_matches_scipy_oracle(self, rng, stride, extent):
-        with precision("double"):
-            h, w = extent
-            x = rng.normal(size=(2, 3, h, w))
-            filters = WaveFilterPair()
-            filters.low = Tensor(rng.normal(size=3))
-            filters.high = Tensor(rng.normal(size=5))
-            got = wave_decompose(Tensor(x), filters, stride=stride)
-            want = decompose_oracle(x, filters.low.data, filters.high.data, stride)
+        h, w = extent
+        x = rng.normal(size=(2, 3, h, w))
+        filters = WaveFilterPair()
+        filters.low = Tensor(rng.normal(size=3))
+        filters.high = Tensor(rng.normal(size=5))
+        got = wave_decompose(Tensor(x), filters, stride=stride)
+        want = decompose_oracle(x, filters.low.data, filters.high.data, stride)
         for g, o in zip(got, want):
             np.testing.assert_allclose(g.data, o, atol=1e-12)
 
@@ -272,20 +271,19 @@ class TestWavePool:
     def test_matches_numpy_composition(self, rng):
         """Dual route: scipy band split, manual pair fusion, einsum mix and
         a hand-written channel norm."""
-        with precision("double"):
-            x = rng.normal(size=(2, 3, 8, 8))
-            pool = WavePool(3, 5, rng)
-            got = pool.forward(Tensor(x)).data
+        x = rng.normal(size=(2, 3, 8, 8))
+        pool = WavePool(3, 5, rng)
+        got = pool.forward(Tensor(x)).data
 
-            ll, lh, hl, hh = decompose_oracle(x, pool.filters.low.data,
-                                              pool.filters.high.data, stride=2)
-            fused = np.concatenate([ll + hh, lh + hl], axis=1)
-            mixed = np.einsum("nchw,oc->nohw", fused, pool.mix.data)
-            mu = mixed.mean(axis=1, keepdims=True)
-            var = mixed.var(axis=1, keepdims=True)
-            xhat = (mixed - mu) / np.sqrt(var + 1e-5)
-            want = (xhat * pool.norm.gain.data[:, None, None]
-                    + pool.norm.shift.data[:, None, None])
+        ll, lh, hl, hh = decompose_oracle(x, pool.filters.low.data,
+                                          pool.filters.high.data, stride=2)
+        fused = np.concatenate([ll + hh, lh + hl], axis=1)
+        mixed = np.einsum("nchw,oc->nohw", fused, pool.mix.data)
+        mu = mixed.mean(axis=1, keepdims=True)
+        var = mixed.var(axis=1, keepdims=True)
+        xhat = (mixed - mu) / np.sqrt(var + 1e-5)
+        want = (xhat * pool.norm.gain.data[:, None, None]
+                + pool.norm.shift.data[:, None, None])
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from waveray import cli
-from waveray.autodiff import get_precision, precision
 from waveray.checkpoint import (
     MAGIC,
     VERSION,
@@ -185,7 +184,9 @@ class TestTrain:
         assert run_cli("train", "--data", synth_dir, "--out", tmp_path / "o", "--epochs", 1,
                        "--batch-size", 8, "--set", "classes=2",
                        "--set", "precision=double") == 0
-        assert get_precision() == "single"
+        state = load_checkpoint(tmp_path / "o" / "checkpoint_final.wrnc")
+        assert all(a.dtype == np.float64 for a in state.params.values())
+        assert WaveletClassifier(desk_config(classes=2)).head.w.dtype == np.float32
 
     @pytest.mark.parametrize("flags,match", [
         (("--batch-size", 0), "batch_size"),
@@ -259,10 +260,10 @@ class TestEval:
     def test_single_checkpoint_rebuilds_in_single(self, trained_dir):
         ckpt = trained_dir / "checkpoint_final.wrnc"
         stored = load_checkpoint(ckpt).params
-        with _checkpoint_model(ckpt) as (model, state):
-            assert state.precision == "single"
-            for name, p in model.parameters().items():
-                assert p.dtype == np.float32 and np.array_equal(p.data, stored[name])
+        model, state = _checkpoint_model(ckpt)
+        assert state.precision == "single"
+        for name, p in model.parameters().items():
+            assert p.dtype == np.float32 and np.array_equal(p.data, stored[name])
 
     def test_double_checkpoint_evaluates_in_double(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "double"
@@ -272,18 +273,31 @@ class TestEval:
         capsys.readouterr()
         ckpt = out / "checkpoint_final.wrnc"
         state = load_checkpoint(ckpt)
-        with _checkpoint_model(ckpt) as (model, _):
-            for name, p in model.parameters().items():
-                assert p.dtype == np.float64 and np.array_equal(p.data, state.params[name])
-        assert get_precision() == "single"
-        with precision("double"):
-            model = WaveletClassifier(ModelConfig.from_dict(state.model_config))
-            model.load_state(state.params)
-            want = evaluate(model, load_dataset(synth_dir, classes=2))
+        model, _ = _checkpoint_model(ckpt)
+        for name, p in model.parameters().items():
+            assert p.dtype == np.float64 and np.array_equal(p.data, state.params[name])
+        model = WaveletClassifier(ModelConfig.from_dict(state.model_config), dtype=np.float64)
+        model.load_state(state.params)
+        want = evaluate(model, load_dataset(synth_dir, classes=2))
         assert run_cli("eval", "--checkpoint", ckpt, "--data", synth_dir) == 0
         got = capsys.readouterr().out.splitlines()[1].split(",")
         assert ",".join(got[1:5]) == want.csv_fields()
-        assert get_precision() == "single"
+
+    @pytest.mark.parametrize("command", ["eval", "export-maps"])
+    @pytest.mark.parametrize("dtype,stored", [(np.float64, "single"), (np.float32, "double")])
+    def test_records_of_another_dtype_than_the_precision_are_an_error_line(
+            self, trained_dir, synth_dir, tmp_path, capsys, command, dtype, stored):
+        state = load_checkpoint(trained_dir / "checkpoint_final.wrnc")
+        params = {name: a.astype(dtype) for name, a in state.params.items()}
+        p = tmp_path / "mixed.wrnc"
+        save_checkpoint(p, CheckpointState(state.model_config, params, precision=stored))
+        source = (["--data", synth_dir] if command == "eval"
+                  else ["--image", synth_dir / "images" / "img_00000.ppm", "--out", tmp_path / "m"])
+        assert run_cli(command, "--checkpoint", p, *source) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and np.dtype(dtype).name in captured.err
+        assert not (tmp_path / "m").exists()
 
     def test_zero_batch_size_is_config_error(self, trained_dir, synth_dir, capsys):
         code = run_cli("eval", "--checkpoint", trained_dir / "checkpoint_final.wrnc",

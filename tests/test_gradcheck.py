@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from waveray import autodiff as ad
-from waveray.autodiff import Tensor, _record_op, get_precision, precision
+from waveray.autodiff import Tensor, _record_op
 from waveray.errors import ConfigError
 from waveray.gradcheck import (
     BLOCK_PROBES,
     DEFAULT_TOL,
     OP_PROBES,
+    _SCOPES,
     _op_probe,
     finite_diff_check,
     run_scope,
@@ -61,17 +62,11 @@ class TestChecker:
         assert report["bad"] > 0.1
 
     def test_runs_in_double_precision(self):
-        seen = {}
-
-        def probe(rng):
-            x = Tensor(rng.normal(size=(2,)), requires_grad=True)
-            seen["dtype"] = x.dtype
-            seen["mode"] = get_precision()
-            return lambda: ad.reduce_sum(ad.mul(x, x)), {"x": x}
-
-        finite_diff_check(probe, seed=0)
-        assert seen["dtype"] == np.float64
-        assert seen["mode"] == "double"
+        """Every probe draws its leaves, module parameters included, in float64."""
+        for name, builder in [row for rows in _SCOPES.values() for row in rows]:
+            run, inputs = builder(np.random.default_rng(0))
+            assert {t.dtype for t in inputs.values()} == {np.dtype(np.float64)}, name
+            assert run().dtype == np.float64, name
 
     def test_restores_perturbed_data(self):
         keeper = {}
@@ -133,8 +128,7 @@ class TestChecker:
 
 class TestOpProbe:
     def test_leaves_are_drawn_in_keyword_order(self):
-        with precision("double"):  # as finite_diff_check builds its probes
-            _, leaves = _op_probe(ad.add, a=(2,), b=(3,))(np.random.default_rng(0))
+        _, leaves = _op_probe(ad.add, a=(2,), b=(3,))(np.random.default_rng(0))
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(2,)), rng.normal(size=(3,))
         assert list(leaves) == ["a", "b"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from waveray import rays
-from waveray.autodiff import Tape, Tensor, backward, precision
+from waveray.autodiff import Tape, Tensor, backward
 from waveray.backbone import BackboneConfig
 from waveray.data import Dataset
 from waveray.errors import ConfigError, DataError, ShapeError
@@ -108,16 +108,15 @@ class TestCrossEntropy:
         assert loss.item() < 1e-6
 
     def test_gradient_is_softmax_minus_onehot(self, rng):
-        with precision("double"):
-            z = rng.normal(size=(6, 5))
-            labels = rng.integers(0, 5, size=6)
-            logits = Tensor(z, requires_grad=True)
-            with Tape() as tape:
-                loss = cross_entropy(logits, labels)
-            backward(loss, tape)
-            p = np.exp(z - z.max(axis=1, keepdims=True))
-            p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(6), labels] -= 1.0
+        z = rng.normal(size=(6, 5))
+        labels = rng.integers(0, 5, size=6)
+        logits = Tensor(z, requires_grad=True)
+        with Tape() as tape:
+            loss = cross_entropy(logits, labels)
+        backward(loss, tape)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(6), labels] -= 1.0
         np.testing.assert_allclose(logits.grad, p / 6.0, atol=1e-12)
 
     def test_label_validation(self):
@@ -220,18 +219,49 @@ class TestClassifier:
         assert np.abs(a - b).max() > 1e-6
 
     def test_images_of_another_dtype_are_refused(self, rng):
-        """A forward would otherwise promote a float32 model's logits to float64."""
+        """Images that need no gradient are converted to the parameters' dtype,
+        so the logits keep the model's dtype; images that need a gradient and
+        have another dtype are refused, since a converted copy would not pass
+        the gradient back."""
         x = rng.normal(size=(2, 3, 32, 32))
         single = WaveletClassifier(desk_config(rays=3), seed=0)
+        double = WaveletClassifier(desk_config(rays=3), seed=0, dtype=np.float64)
         dataset = Dataset(x.astype(np.float32), np.array([0, 1]), ["a", "b", "c"])
-        with precision("double"):
-            with pytest.raises(ConfigError, match="float64.*float32"):
-                single.forward(Tensor(x))
-            with pytest.raises(ConfigError, match="float64.*float32"):
-                evaluate(single, dataset)
-            double = WaveletClassifier(desk_config(rays=3), seed=0)
+        for model, dtype in ((single, np.float32), (double, np.float64)):
+            for data in (x, dataset.images):
+                want = model.forward(Tensor(data.astype(dtype))).data
+                for images in (data, Tensor(data)):
+                    got = model.forward(images).data
+                    assert got.dtype == dtype and np.array_equal(got, want)
+            loss = cross_entropy(Tensor(want), dataset.labels).item()
+            assert evaluate(model, dataset).loss == pytest.approx(loss, rel=1e-6)
+        with pytest.raises(ConfigError, match="float64.*float32"):
+            single.forward(Tensor(x, requires_grad=True))
         with pytest.raises(ConfigError, match="float32.*float64"):
-            double.forward(Tensor(x))
+            double.forward(Tensor(x.astype(np.float32), requires_grad=True))
+
+    def test_dtype_casts_the_float64_draws_once(self):
+        """A float32 model holds its float64 twin's values, each rounded once."""
+        single = WaveletClassifier(desk_config(rays=3), seed=4)
+        double = WaveletClassifier(desk_config(rays=3), seed=4, dtype=np.float64)
+        assert single.parameters().keys() == double.parameters().keys()
+        for name, p in double.parameters().items():
+            assert p.dtype == np.float64
+            assert single.parameters()[name].dtype == np.float32
+            assert np.array_equal(single.parameters()[name].data, p.data.astype(np.float32))
+
+    def test_load_state_rejects_another_dtype(self):
+        model = WaveletClassifier(desk_config(rays=1), seed=0)
+        before = {k: v.copy() for k, v in model.state_arrays().items()}
+        arrays = {k: v.astype(np.float64) for k, v in before.items()}
+        with pytest.raises(ConfigError, match="float64, expected float32"):
+            model.load_state(arrays)
+        arrays = {k: (v + 1).astype(v.dtype) for k, v in before.items()}
+        arrays["head.b"] = arrays["head.b"].astype(np.float64)
+        with pytest.raises(ConfigError, match="head.b"):
+            model.load_state(arrays)
+        for name, arr in model.state_arrays().items():
+            assert arr.dtype == np.float32 and np.array_equal(arr, before[name])
 
     def test_state_round_trip(self, rng):
         model = WaveletClassifier(desk_config(rays=1), seed=0)
@@ -319,7 +349,8 @@ def _assert_maps_fresh(model, x):
     _, aux = model.forward_with_aux(x)
     for field, amap in zip(model.ray_fields(), aux["maps"], strict=True):
         h, w = amap.extents
-        d = rays.distance_matrix(field.origins, Tensor(rays.pixel_grid(h, w).coords))
+        coords = rays.pixel_grid(h, w).coords.astype(field.origins.dtype)
+        d = rays.distance_matrix(field.origins, Tensor(coords))
         want = rays.attenuation(d, field, extents=(h, w))
         for got, ref in ((amap.per_origin, want.per_origin), (amap.combined, want.combined)):
             assert got.dtype == ref.dtype
@@ -327,8 +358,8 @@ def _assert_maps_fresh(model, x):
 
 
 class TestRayMapMemo:
-    """Untaped forwards reuse each field's maps until a parameter value or the
-    extent changes; a forward under another precision is refused."""
+    """Untaped forwards reuse each field's maps until a parameter's value or
+    dtype, or the extent, changes."""
 
     def test_untaped_forwards_compute_each_map_once(self, computed_maps, rng):
         model = WaveletClassifier(desk_config(rays=3), seed=0)
@@ -371,13 +402,36 @@ class TestRayMapMemo:
         AdamW(model.parameters()).step(lr=0.05)
         _assert_maps_fresh(model, x)
 
-    def test_double_precision_forward_recomputes(self, rng):
+    def test_double_precision_forward_recomputes(self, computed_maps, rng):
         model = WaveletClassifier(desk_config(rays=3), seed=0)
         x = rng.normal(size=(1, 3, 32, 32))
-        model.forward(Tensor(x))
-        with precision("double"), pytest.raises(ConfigError, match="float64"):
-            model.forward(Tensor(x))
-        _assert_maps_fresh(model, Tensor(x))
+        model.forward(x)
+        for p in model.parameters().values():
+            p.data = p.data.astype(np.float64)
+        assert model.forward(x).dtype == np.float64
+        assert computed_maps == [(4, 4), (2, 2), (2, 2)] * 2
+        _assert_maps_fresh(model, x)
+
+    def test_float32_and_float64_copies_alternate(self, computed_maps, rng):
+        """Two copies of one model in the two dtypes, used in turn with no
+        global switch: each computes in its own dtype and keeps its own maps."""
+        x = rng.normal(size=(1, 3, 32, 32))
+        models = {dtype: WaveletClassifier(desk_config(rays=3), seed=0, dtype=dtype)
+                  for dtype in (np.float32, np.float64)}
+        first = {dtype: model.forward(x).data for dtype, model in models.items()}
+        assert computed_maps == [(4, 4), (2, 2), (2, 2)] * 2
+        for _ in range(2):
+            for dtype, model in models.items():
+                computed = len(computed_maps)
+                logits = model.forward(x)
+                assert len(computed_maps) == computed  # served from the memo
+                assert logits.dtype == dtype and np.array_equal(logits.data, first[dtype])
+                for field in model.ray_fields():
+                    ((_, (key, per_origin, combined)),) = field._maps.items()
+                    assert [k[0] for k in key] == [np.dtype(dtype)] * 4
+                    assert per_origin.dtype == combined.dtype == dtype
+                _assert_maps_fresh(model, x)
+        assert np.abs(first[np.float32] - first[np.float64]).max() < 1e-4
 
     def test_taped_step_after_untaped_forwards_gives_the_same_gradients(self, rng):
         x = Tensor(rng.normal(size=(1, 3, 32, 32)))

@@ -14,8 +14,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate1d
 
-from waveray.autodiff import (Tape, Tensor, add, backward, concat, gelu, mul, precision,
-                              reduce_sum)
+from waveray.autodiff import Tape, Tensor, add, backward, concat, gelu, mul, reduce_sum
 from waveray.errors import ShapeError
 from waveray.model import WaveletClassifier, cross_entropy, desk_config
 from waveray.ops import conv2d, pointwise_conv, sep_conv1d
@@ -145,11 +144,10 @@ class TestConv2dOracle:
         h = int(gen.integers(kh + sh, kh + sh + 5))
         w = int(gen.integers(kw + sw, kw + sw + 5))
         n = int(gen.integers(1, 3))
-        with precision("double"):
-            x = gen.normal(size=(n, groups * cin_g, h, w))
-            k = gen.normal(size=(cout, cin_g, kh, kw))
-            got = conv2d(Tensor(x), Tensor(k), stride=(sh, sw), padding=(ph, pw), groups=groups)
-            want = conv2d_oracle(x, k, (sh, sw), (ph, pw), groups)
+        x = gen.normal(size=(n, groups * cin_g, h, w))
+        k = gen.normal(size=(cout, cin_g, kh, kw))
+        got = conv2d(Tensor(x), Tensor(k), stride=(sh, sw), padding=(ph, pw), groups=groups)
+        want = conv2d_oracle(x, k, (sh, sw), (ph, pw), groups)
         err = np.abs(got.data - want).max() / max(np.abs(want).max(), 1e-12)
         assert err < 1e-12
 
@@ -194,14 +192,13 @@ class TestConv2dOracle:
     )
     def test_forward_and_backward_match_loop_oracle(self, xshape, kshape, stride, padding, groups):
         gen = np.random.default_rng(sum(xshape) + sum(kshape))
-        with precision("double"):
-            x = gen.normal(size=xshape)
-            k = gen.normal(size=kshape)
-            want = conv2d_oracle(x, k, stride, padding, groups)
-            gout = gen.normal(size=want.shape)
-            out, (gx, gk) = pull_back(
-                lambda a, b: conv2d(a, b, stride=stride, padding=padding, groups=groups),
-                (x, k), gout)
+        x = gen.normal(size=xshape)
+        k = gen.normal(size=kshape)
+        want = conv2d_oracle(x, k, stride, padding, groups)
+        gout = gen.normal(size=want.shape)
+        out, (gx, gk) = pull_back(
+            lambda a, b: conv2d(a, b, stride=stride, padding=padding, groups=groups),
+            (x, k), gout)
         want_gx, want_gk = conv2d_grad_oracle(x, k, gout, stride, padding)
         np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
@@ -232,45 +229,43 @@ class TestConv2dOracle:
         """Gradient wrt the kernel equals conv of input with the output grad
         (verified here through the oracle on a small case)."""
         gen = np.random.default_rng(7)
-        with precision("double"):
-            x = Tensor(gen.normal(size=(1, 2, 5, 5)), requires_grad=True)
-            k = Tensor(gen.normal(size=(3, 2, 3, 3)), requires_grad=True)
-            wsum = Tensor(gen.normal(size=(1, 3, 5, 5)))
-            with Tape() as tape:
-                out = conv2d(x, k, padding=(1, 1))
-                loss = mul(out, wsum)
-                from waveray.autodiff import reduce_sum
+        x = Tensor(gen.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        k = Tensor(gen.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        wsum = Tensor(gen.normal(size=(1, 3, 5, 5)))
+        with Tape() as tape:
+            out = conv2d(x, k, padding=(1, 1))
+            loss = mul(out, wsum)
+            from waveray.autodiff import reduce_sum
 
-                loss = reduce_sum(loss)
-            backward(loss, tape)
-            # numeric check of one coordinate each
-            for tensor in (x, k):
-                flat = tensor.data.reshape(-1)
-                gflat = tensor.grad.reshape(-1)
-                idx = 5
-                h = 1e-6
-                saved = flat[idx]
-                flat[idx] = saved + h
-                up = (conv2d(x, k, padding=(1, 1)).data * wsum.data).sum()
-                flat[idx] = saved - h
-                down = (conv2d(x, k, padding=(1, 1)).data * wsum.data).sum()
-                flat[idx] = saved
-                num = (up - down) / (2 * h)
-                assert abs(num - gflat[idx]) / max(abs(num), 1e-8) < 1e-6
+            loss = reduce_sum(loss)
+        backward(loss, tape)
+        # numeric check of one coordinate each
+        for tensor in (x, k):
+            flat = tensor.data.reshape(-1)
+            gflat = tensor.grad.reshape(-1)
+            idx = 5
+            h = 1e-6
+            saved = flat[idx]
+            flat[idx] = saved + h
+            up = (conv2d(x, k, padding=(1, 1)).data * wsum.data).sum()
+            flat[idx] = saved - h
+            down = (conv2d(x, k, padding=(1, 1)).data * wsum.data).sum()
+            flat[idx] = saved
+            num = (up - down) / (2 * h)
+            assert abs(num - gflat[idx]) / max(abs(num), 1e-8) < 1e-6
 
 
 class TestPointwiseConv:
     def test_equals_per_pixel_matmul(self, rng):
-        with precision("double"):
-            x = rng.normal(size=(2, 5, 3, 4))
-            w = rng.normal(size=(7, 5))
-            b = rng.normal(size=7)
-            got = pointwise_conv(Tensor(x), Tensor(w), Tensor(b)).data
-            want = np.zeros((2, 7, 3, 4))
-            for n in range(2):
-                for i in range(3):
-                    for j in range(4):
-                        want[n, :, i, j] = w @ x[n, :, i, j] + b
+        x = rng.normal(size=(2, 5, 3, 4))
+        w = rng.normal(size=(7, 5))
+        b = rng.normal(size=7)
+        got = pointwise_conv(Tensor(x), Tensor(w), Tensor(b)).data
+        want = np.zeros((2, 7, 3, 4))
+        for n in range(2):
+            for i in range(3):
+                for j in range(4):
+                    want[n, :, i, j] = w @ x[n, :, i, j] + b
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_identity_weight(self, rng):
@@ -294,15 +289,14 @@ class TestPointwiseConv:
     @pytest.mark.parametrize("bias", [True, False])
     def test_backward_matches_per_pixel_oracle(self, xshape, cout, bias):
         gen = np.random.default_rng(sum(xshape) + cout)
-        with precision("double"):
-            x = gen.normal(size=xshape)
-            w = gen.normal(size=(cout, xshape[1]))
-            b = gen.normal(size=cout)
-            gout = gen.normal(size=(xshape[0], cout) + xshape[2:])
-            if bias:
-                out, (gx, gw, gb) = pull_back(pointwise_conv, (x, w, b), gout)
-            else:
-                out, (gx, gw) = pull_back(pointwise_conv, (x, w), gout)
+        x = gen.normal(size=xshape)
+        w = gen.normal(size=(cout, xshape[1]))
+        b = gen.normal(size=cout)
+        gout = gen.normal(size=(xshape[0], cout) + xshape[2:])
+        if bias:
+            out, (gx, gw, gb) = pull_back(pointwise_conv, (x, w, b), gout)
+        else:
+            out, (gx, gw) = pull_back(pointwise_conv, (x, w), gout)
         want_gx, want_gw, want_gb = pointwise_grad_oracle(x, w, gout)
         want = np.einsum("oc,nchw->nohw", w, x) + (b[:, None, None] if bias else 0.0)
         np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
@@ -328,11 +322,10 @@ class TestSepConv1d:
     @pytest.mark.parametrize("klen", [3, 5])
     def test_matches_loop_oracle(self, axis, stride, pad_mode, klen):
         gen = np.random.default_rng(axis * 100 + stride * 10 + klen)
-        with precision("double"):
-            x = gen.normal(size=(2, 3, 8, 6))
-            taps = gen.normal(size=klen)
-            got = sep_conv1d(Tensor(x), Tensor(taps), axis=axis, stride=stride).data
-            want = sep_conv1d_oracle(x, taps, axis, stride)
+        x = gen.normal(size=(2, 3, 8, 6))
+        taps = gen.normal(size=klen)
+        got = sep_conv1d(Tensor(x), Tensor(taps), axis=axis, stride=stride).data
+        want = sep_conv1d_oracle(x, taps, axis, stride)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_stride1_preserves_extent(self, rng):
@@ -416,11 +409,10 @@ class TestSepConv1dBank:
     def test_matches_correlate1d_compositions(self, lengths, axes, stride, rounds, bands,
                                               pad_mode):
         gen = np.random.default_rng(sum(lengths) + 10 * stride + 100 * rounds)
-        with precision("double"):
-            x = gen.normal(size=(2, 3, 16, 12))
-            bank = [gen.normal(size=k) for k in lengths]
-            got = sep_conv1d(Tensor(x), [Tensor(b) for b in bank], axis=axes, stride=stride,
-                             rounds=rounds, bands=bands).data
+        x = gen.normal(size=(2, 3, 16, 12))
+        bank = [gen.normal(size=k) for k in lengths]
+        got = sep_conv1d(Tensor(x), [Tensor(b) for b in bank], axis=axes, stride=stride,
+                         rounds=rounds, bands=bands).data
         every = tuple(((p,) for p in itertools.product(range(len(lengths)),
                                                         repeat=len(axes))))
         want = bank_oracle(x, bank, axes, stride, rounds, bands or every)
@@ -517,8 +509,7 @@ class TestBankGradientsEqualChain:
         def bank(h, taps, axes, stride, rounds, bands):
             return sep_conv1d(h, taps, axis=axes, stride=stride, rounds=rounds, bands=bands)
 
-        with precision("double" if dtype == np.float64 else "single"):
-            got, want = step(bank), step(chain_bank)
+        got, want = step(bank), step(chain_bank)
         assert got[0].dtype == dtype
         for name, a, b in zip(("loss", "x", "low", "high"), got, want):
             assert a.dtype == dtype and np.array_equal(a, b), name

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from waveray.autodiff import Tensor, precision
+from waveray.autodiff import _DTYPES, Tensor
 from waveray.errors import ConfigError, GraphError, ShapeError
 from waveray.optim import (
     _BLOCK,
@@ -43,51 +43,47 @@ class TestAdamW:
     def test_three_param_trace_matches_reference(self, rng):
         lr, wd = 0.01, 0.1
         shapes = {"a": (3,), "b": (2, 2), "c": (1,)}
-        with precision("double"):
-            params = {k: Tensor(rng.normal(size=s), requires_grad=True)
-                      for k, s in shapes.items()}
-            history = {k: (params[k].data.copy(), []) for k in params}
-            opt = AdamW(params, weight_decay=wd)
-            for _ in range(5):
-                for k, p in params.items():
-                    g = rng.normal(size=shapes[k])
-                    p.grad = np.asarray(g, dtype=p.dtype)
-                    history[k][1].append(g)
-                opt.step(lr)
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                  for k, s in shapes.items()}
+        history = {k: (params[k].data.copy(), []) for k in params}
+        opt = AdamW(params, weight_decay=wd)
+        for _ in range(5):
+            for k, p in params.items():
+                g = rng.normal(size=shapes[k])
+                p.grad = np.asarray(g, dtype=p.dtype)
+                history[k][1].append(g)
+            opt.step(lr)
         want = reference_adamw(history, lr, wd)
         for k, p in params.items():
             np.testing.assert_allclose(p.data, want[k], atol=1e-12)
 
     def test_zero_gradient_is_pure_decay(self):
-        with precision("double"):
-            p = Tensor(np.array([2.0, -4.0]), requires_grad=True)
-            p.grad = np.zeros(2)
-            adamw_step({"p": p}, OptimizerState(), lr=0.1, weight_decay=0.05)
+        p = Tensor(np.array([2.0, -4.0]), requires_grad=True)
+        p.grad = np.zeros(2)
+        adamw_step({"p": p}, OptimizerState(), lr=0.1, weight_decay=0.05)
         np.testing.assert_allclose(p.data, [2.0 * 0.995, -4.0 * 0.995], atol=1e-15)
 
     def test_constant_gradient_moves_at_learning_rate(self):
         """Bias correction makes the very first steps already full-size."""
-        with precision("double"):
-            p = Tensor(np.array([1.0]), requires_grad=True)
-            state = OptimizerState()
-            for _ in range(5):
-                before = p.data.copy()
-                p.grad = np.array([0.7])
-                adamw_step({"p": p}, state, lr=1e-3, weight_decay=0.0)
-                np.testing.assert_allclose(abs(p.data - before), 1e-3, rtol=1e-6)
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        state = OptimizerState()
+        for _ in range(5):
+            before = p.data.copy()
+            p.grad = np.array([0.7])
+            adamw_step({"p": p}, state, lr=1e-3, weight_decay=0.0)
+            np.testing.assert_allclose(abs(p.data - before), 1e-3, rtol=1e-6)
 
     def test_decay_never_touches_moments(self, rng):
-        with precision("double"):
-            g = rng.normal(size=4)
-            runs = []
-            for wd in (0.0, 0.5):
-                p = Tensor(np.ones(4), requires_grad=True)
-                state = OptimizerState()
-                p.grad = g.copy()
-                adamw_step({"p": p}, state, lr=0.1, weight_decay=wd)
-                runs.append(state)
-            np.testing.assert_array_equal(runs[0].m["p"], runs[1].m["p"])
-            np.testing.assert_array_equal(runs[0].v["p"], runs[1].v["p"])
+        g = rng.normal(size=4)
+        runs = []
+        for wd in (0.0, 0.5):
+            p = Tensor(np.ones(4), requires_grad=True)
+            state = OptimizerState()
+            p.grad = g.copy()
+            adamw_step({"p": p}, state, lr=0.1, weight_decay=wd)
+            runs.append(state)
+        np.testing.assert_array_equal(runs[0].m["p"], runs[1].m["p"])
+        np.testing.assert_array_equal(runs[0].v["p"], runs[1].v["p"])
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.ones(2), requires_grad=True)
@@ -110,27 +106,26 @@ class TestAdamW:
         assert opt.state.step == 3
 
     def test_state_round_trip_resumes_identically(self, rng):
-        with precision("double"):
-            init = rng.normal(size=3)
-            grads = [rng.normal(size=3) for _ in range(4)]
+        init = rng.normal(size=3)
+        grads = [rng.normal(size=3) for _ in range(4)]
 
-            def run(n_steps, opt, p, start):
-                for g in grads[start:start + n_steps]:
-                    p.grad = g.copy()
-                    opt.step(0.01)
+        def run(n_steps, opt, p, start):
+            for g in grads[start:start + n_steps]:
+                p.grad = g.copy()
+                opt.step(0.01)
 
-            p1 = Tensor(init.copy(), requires_grad=True)
-            opt1 = AdamW({"p": p1})
-            run(4, opt1, p1, 0)
+        p1 = Tensor(init.copy(), requires_grad=True)
+        opt1 = AdamW({"p": p1})
+        run(4, opt1, p1, 0)
 
-            p2 = Tensor(init.copy(), requires_grad=True)
-            opt2 = AdamW({"p": p2})
-            run(2, opt2, p2, 0)
-            m, v, step = opt2.export_state()
-            p3 = Tensor(p2.data.copy(), requires_grad=True)
-            opt3 = AdamW({"p": p3})
-            opt3.load_state(m, v, step)
-            run(2, opt3, p3, 2)
+        p2 = Tensor(init.copy(), requires_grad=True)
+        opt2 = AdamW({"p": p2})
+        run(2, opt2, p2, 0)
+        m, v, step = opt2.export_state()
+        p3 = Tensor(p2.data.copy(), requires_grad=True)
+        opt3 = AdamW({"p": p3})
+        opt3.load_state(m, v, step)
+        run(2, opt3, p3, 2)
         np.testing.assert_allclose(p3.data, p1.data, atol=1e-15)
 
 
@@ -154,17 +149,16 @@ class TestBlockWalk:
         sides are not multiples of the copy's tile."""
         shape = (131, 3 * _BLOCK // 131 + 1)
         assert 3 * _BLOCK < shape[0] * shape[1] < 4 * _BLOCK
-        with precision(mode):
-            p = Tensor(rng.normal(size=shape), requires_grad=True)
-            want_p = p.data.copy()
-            want_m = np.zeros_like(want_p)
-            want_v = np.zeros_like(want_p)
-            state = OptimizerState()
-            for t, lr in enumerate((1e-2, 3e-3, 1e-3), start=1):
-                p.grad = rng.normal(size=shape[::-1]).astype(p.dtype).T
-                assert not p.grad.flags.c_contiguous
-                adamw_step({"p": p}, state, lr=lr, weight_decay=0.05)
-                want_p = whole_array_adamw(want_p, p.grad, want_m, want_v, t, lr, 0.05)
+        p = Tensor(rng.normal(size=shape).astype(_DTYPES[mode]), requires_grad=True)
+        want_p = p.data.copy()
+        want_m = np.zeros_like(want_p)
+        want_v = np.zeros_like(want_p)
+        state = OptimizerState()
+        for t, lr in enumerate((1e-2, 3e-3, 1e-3), start=1):
+            p.grad = rng.normal(size=shape[::-1]).astype(p.dtype).T
+            assert not p.grad.flags.c_contiguous
+            adamw_step({"p": p}, state, lr=lr, weight_decay=0.05)
+            want_p = whole_array_adamw(want_p, p.grad, want_m, want_v, t, lr, 0.05)
         assert p.data.dtype == want_p.dtype
         assert np.array_equal(p.data, want_p)
         assert np.array_equal(state.m["p"], want_m)
@@ -212,7 +206,10 @@ class TestLoadState:
         ({"p": np.zeros(3), "q": np.zeros(3)}, {"p": np.zeros(3)}, "unexpected \\['q'\\]"),
         ({"p": np.zeros(3)}, {"p": np.zeros(4)}, "moment v\\['p'\\] has shape \\(4,\\)"),
         ({"p": np.zeros((3, 1))}, {"p": np.zeros(3)}, "moment m\\['p'\\] has shape"),
-    ], ids=["v-missing", "m-missing", "unexpected", "v-shape", "m-shape"])
+        ({"p": np.zeros(3, np.float32)}, {"p": np.zeros(3)},
+         "moment m\\['p'\\] is float32, expected float64"),
+        ({"p": np.zeros(3)}, {"p": np.zeros(3, np.float32)}, "moment v\\['p'\\] is float32"),
+    ], ids=["v-missing", "m-missing", "unexpected", "v-shape", "m-shape", "m-dtype", "v-dtype"])
     def test_bad_moments_rejected_at_load(self, m, v, match):
         opt = AdamW({"p": Tensor(np.ones(3), requires_grad=True)})
         with pytest.raises(ConfigError, match=match):

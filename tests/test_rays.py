@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waveray import autodiff as ad
-from waveray.autodiff import Tape, Tensor, backward, precision
+from waveray.autodiff import Tape, Tensor, backward
 from waveray.errors import ConfigError, NonFiniteError, ShapeError
 from waveray.rays import (
     AttenuationMap,
@@ -108,11 +108,10 @@ class TestDistanceMatrix:
 
 class TestPsf:
     def test_matches_formula(self, rng):
-        with precision("double"):
-            d = np.abs(rng.normal(size=(3, 10)))
-            sigma = rng.uniform(0.4, 2.0, size=3)
-            got = psf(Tensor(d), Tensor(sigma)).data
-            want = np.exp(-d**2 / (2 * sigma[:, None] ** 2)) / (2 * np.pi * sigma[:, None] ** 2)
+        d = np.abs(rng.normal(size=(3, 10)))
+        sigma = rng.uniform(0.4, 2.0, size=3)
+        got = psf(Tensor(d), Tensor(sigma)).data
+        want = np.exp(-d**2 / (2 * sigma[:, None] ** 2)) / (2 * np.pi * sigma[:, None] ** 2)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_peak_at_zero_distance(self):
@@ -207,12 +206,11 @@ class TestSpectralModulate:
         assert rel < 1e-5
 
     def test_equals_circular_convolution(self, rng):
-        with precision("double"):
-            f = rng.normal(size=(1, 2, 8, 8))
-            mask = rng.normal(size=(8, 8))
-            got = spectral_modulate(Tensor(f), Tensor(mask)).data
-            kernel = np.fft.ifft2(mask).real
-            want = circular_conv_oracle(f, kernel)
+        f = rng.normal(size=(1, 2, 8, 8))
+        mask = rng.normal(size=(8, 8))
+        got = spectral_modulate(Tensor(f), Tensor(mask)).data
+        kernel = np.fft.ifft2(mask).real
+        want = circular_conv_oracle(f, kernel)
         rel = np.abs(got - want).max() / np.abs(want).max()
         assert rel < 1e-10
 
@@ -223,11 +221,10 @@ class TestSpectralModulate:
 
     @pytest.mark.parametrize("extents", [(6, 5), (14, 14)])
     def test_any_extent_equals_circular_convolution(self, extents, rng):
-        with precision("double"):
-            f = rng.normal(size=(1, 2, *extents))
-            mask = rng.normal(size=extents)
-            got = spectral_modulate(Tensor(f), Tensor(mask)).data
-            want = circular_conv_oracle(f, np.fft.ifft2(mask).real)
+        f = rng.normal(size=(1, 2, *extents))
+        mask = rng.normal(size=extents)
+        got = spectral_modulate(Tensor(f), Tensor(mask)).data
+        want = circular_conv_oracle(f, np.fft.ifft2(mask).real)
         rel = np.abs(got - want).max() / np.abs(want).max()
         assert rel < 1e-10
 
@@ -267,7 +264,7 @@ class TestRayLayer:
 
 
 def _fresh_map(field, h, w):
-    d = distance_matrix(field.origins, Tensor(pixel_grid(h, w).coords))
+    d = distance_matrix(field.origins, Tensor(pixel_grid(h, w).coords.astype(field.origins.dtype)))
     return attenuation(d, field, extents=(h, w))
 
 
@@ -295,13 +292,19 @@ class TestAttenuationMapMemo:
         _assert_same_map(field.attenuation_map(4, 4), _fresh_map(field, 4, 4))
 
     def test_precision_switch_recomputes(self, rng):
+        """Casting the field's parameters changes the memo key, and the grid
+        follows the origins' dtype."""
         field = _random_field(rng)
+        double = field.attenuation_map(4, 4)
+        originals = {name: p.data for name, p in field.named_params()}
+        for _, p in field.named_params():
+            p.data = p.data.astype(np.float32)
         single = field.attenuation_map(4, 4)
-        with precision("double"):
-            double = field.attenuation_map(4, 4)
-            _assert_same_map(double, _fresh_map(field, 4, 4))
-        assert double.combined.dtype == np.float64
-        _assert_same_map(field.attenuation_map(4, 4), single)
+        assert single.combined.dtype == np.float32
+        _assert_same_map(single, _fresh_map(field, 4, 4))
+        for name, p in field.named_params():
+            p.data = originals[name]
+        _assert_same_map(field.attenuation_map(4, 4), double)
 
     def test_each_extent_keeps_its_own_map(self, rng):
         field = _random_field(rng)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from waveray.autodiff import Tensor, precision
+from waveray.autodiff import Tensor
 from waveray.checkpoint import load_checkpoint
 from waveray.data import Dataset
 from waveray.errors import ConfigError, DataError, DivergenceError
@@ -228,18 +228,20 @@ class TestTrainLoop:
         assert all(p.dtype == np.float32 for p in model.parameters().values())
 
     def test_double_run_outside_the_precision_context(self, tmp_path, rng):
+        """The model's dtype alone makes a double run: no global switch, and a
+        float32 model trained in between changes nothing."""
         ds = _real_dataset(rng, n=8)
         cfg = _quick_cfg(epochs=1, precision="double")
-        with precision("double"):
-            inside = WaveletClassifier(desk_config(rays=1), seed=0)
-            outside = WaveletClassifier(desk_config(rays=1), seed=0)
-            train(inside, ds, cfg, out_dir=tmp_path / "inside", log_stream=io.StringIO())
-        train(outside, ds, cfg, out_dir=tmp_path / "outside", log_stream=io.StringIO())
-        state = load_checkpoint(tmp_path / "outside" / "checkpoint_final.wrnc")
+        for run in ("first", "single", "second"):
+            dtype = np.float32 if run == "single" else np.float64
+            model = WaveletClassifier(desk_config(rays=1), seed=0, dtype=dtype)
+            train(model, ds, _quick_cfg(epochs=1) if run == "single" else cfg,
+                  out_dir=tmp_path / run, log_stream=io.StringIO())
+        state = load_checkpoint(tmp_path / "second" / "checkpoint_final.wrnc")
         assert state.precision == "double"
         assert all(a.dtype == np.float64 for a in state.params.values())
-        assert ((tmp_path / "outside" / "checkpoint_final.wrnc").read_bytes()
-                == (tmp_path / "inside" / "checkpoint_final.wrnc").read_bytes())
+        assert ((tmp_path / "second" / "checkpoint_final.wrnc").read_bytes()
+                == (tmp_path / "first" / "checkpoint_final.wrnc").read_bytes())
 
     def test_numpy_integer_config_fields_are_refused_before_writing(self, tmp_path, rng):
         ds = _real_dataset(rng, n=8)
