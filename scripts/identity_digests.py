@@ -25,11 +25,14 @@ the whole classifier's probe.  Three lines digest every parameter's
 gradient after one taped desk step at batch 64: rays 3 in float32 and in
 float64, and rays 0 (the global-average-pooling head) in float32.  So a
 change to a backward shows here directly, not only through the trained
-checkpoints.  The last line digests every parameter and both AdamW moments
-after two steps over the ``table1_config(rays=0)`` parameters with seeded
-gradients.  The whole desk model (35,206 parameters) is smaller than one
-block of the optimizer's blocked update; this line reaches parameters of
-many blocks.
+checkpoints.  The last two lines are made from two AdamW steps over the
+``table1_config(rays=0)`` parameters with seeded gradients.  The whole desk
+model (35,206 parameters) is smaller than one block of the optimizer's
+blocked update; these lines reach parameters of many blocks.  The first
+digests every parameter and both moments; the second digests the
+checkpoint file saved from them (327 records, 144 MB).  Every other
+checkpoint here is under 1 MiB, so only this file reaches the save's
+1 MiB join limit and the payloads it writes as they are.
 A change that claims no behaviour change should leave this output unchanged:
 
     python3 scripts/identity_digests.py --against HEAD   # or any other git revision
@@ -64,7 +67,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from waveray.autodiff import Tape, Tensor, backward  # noqa: E402
-from waveray.checkpoint import load_checkpoint  # noqa: E402
+from waveray.checkpoint import CheckpointState, load_checkpoint, save_checkpoint  # noqa: E402
 from waveray.cli import main as waveray  # noqa: E402
 from waveray.data import load_dataset  # noqa: E402
 from waveray.model import (  # noqa: E402
@@ -142,22 +145,32 @@ def grads_digest(dtype, rays: int) -> str:
     return h.hexdigest()
 
 
-def table1_optimizer_digest() -> str:
-    """Digest of every parameter and its two moments, in name order, after two
-    AdamW steps over the table-1 rays-0 parameters with gradients drawn from
-    a fixed seed."""
-    params = WaveletClassifier(table1_config(rays=0), seed=0).parameters()
+def table1_optimizer_lines() -> list:
+    """After two AdamW steps over the table-1 rays-0 parameters with gradients
+    drawn from a fixed seed: the line of every parameter and its two moments,
+    in name order, and the line of the checkpoint file saved from them."""
+    config = table1_config(rays=0)
+    params = WaveletClassifier(config, seed=0).parameters()
     opt = AdamW(params, weight_decay=0.05)
     gen = np.random.default_rng(0)
     for lr in (1e-3, 5e-4):
         for name, param in sorted(params.items()):
             param.grad = gen.standard_normal(param.shape, dtype=param.dtype)
         opt.step(lr)
-    m, v, _ = opt.export_state()
+    m, v, step = opt.export_state()
     h = hashlib.blake2b(digest_size=8)
     for name, param in sorted(params.items()):
         h.update(name.encode() + param.data.tobytes() + m[name].tobytes() + v[name].tobytes())
-    return h.hexdigest()
+    state = CheckpointState(model_config=config.to_dict(),
+                            params={name: param.data for name, param in params.items()},
+                            opt_m=m, opt_v=v, opt_step=step)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table1.wrnc"
+        save_checkpoint(path, state)
+        with open(path, "rb") as fh:
+            saved = hashlib.file_digest(fh, lambda: hashlib.blake2b(digest_size=8))
+    return [f"{h.hexdigest()}  optim/table1-rays0-2steps",
+            f"{saved.hexdigest()}  ckpt/table1-rays0"]
 
 
 def digest_lines() -> list:
@@ -196,7 +209,7 @@ def digest_lines() -> list:
     for rays, dtype in ((3, np.float32), (3, np.float64), (0, np.float32)):
         name = f"desk-rays{rays}-batch64-{np.dtype(dtype).name}"
         lines.append(f"{grads_digest(dtype, rays)}  grads/{name}")
-    lines.append(f"{table1_optimizer_digest()}  optim/table1-rays0-2steps")
+    lines += table1_optimizer_lines()
     return lines
 
 

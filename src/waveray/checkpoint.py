@@ -15,8 +15,11 @@ Each payload keeps its array's dtype: code 0 is float32, code 1 float64;
 any other dtype is refused on save.  Optimizer moments ride along as
 records named "opt.m/<param>" and "opt.v/<param>"; step counter, epoch,
 RNG state and the model config all live in the JSON blob.  A save streams
-the pieces through the digest into a temp file that is renamed into place,
-so a crash never leaves a half-written checkpoint behind.
+the file through the digest into a temp file that is renamed into place,
+so a crash never leaves a half-written checkpoint behind.  The config, the
+record heads and every payload under 1 MiB are joined into pieces of at
+most 1 MiB, each hashed once and written once; a larger payload is hashed
+and written as the array itself, so the whole file is never copied.
 
 A load never holds the whole file in memory.  It reads the file once: each
 record head with a small read and each payload straight into its own new
@@ -49,9 +52,9 @@ from .errors import CheckpointError
 MAGIC = b"WRNC"
 VERSION = 3
 DIGEST_SIZE = 8
-_CHUNK = 1 << 20  # bytes hashed per read when a load drains a body it could not parse
+_CHUNK = 1 << 20  # the most a save joins into one piece, and a drained load reads at once
 _DTYPES = (np.dtype("<f4"), np.dtype("<f8"))  # a record's dtype code indexes this
-_DTYPE_CODES = {dt.name: code for code, dt in enumerate(_DTYPES)}
+_DTYPE_CODES = {dt.char: code for code, dt in enumerate(_DTYPES)}  # char ignores byte order
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -85,7 +88,7 @@ class CheckpointState:
 def _pack_record(name: str, arr) -> tuple[bytes, np.ndarray]:
     """Record head and C-order little-endian payload, in the array's own dtype."""
     arr = np.asarray(arr)
-    code = _DTYPE_CODES.get(arr.dtype.name)
+    code = _DTYPE_CODES.get(arr.dtype.char)  # char, not name: name is a slow property
     if code is None:
         raise CheckpointError(f"record {name!r}: dtype {arr.dtype} is neither float32 nor float64")
     # asarray, not ascontiguousarray: the latter turns rank 0 into rank 1
@@ -98,6 +101,24 @@ def _pack_record(name: str, arr) -> tuple[bytes, np.ndarray]:
     head = struct.pack(f"<H{len(name_b)}sBB{payload.ndim}I", len(name_b), name_b, code,
                        payload.ndim, *payload.shape)
     return head, payload
+
+
+def _joined(pieces):
+    """The same bytes with each run of pieces under ``_CHUNK`` bytes joined into
+    pieces of at most ``_CHUNK`` bytes, so each is hashed and written once, not
+    once per head and payload; a piece of ``_CHUNK`` or more passes as it is."""
+    batch, size = [], 0
+    for piece in pieces:
+        n = len(piece) if isinstance(piece, bytes) else piece.nbytes
+        if size + n > _CHUNK and batch:
+            yield b"".join(batch)
+            batch, size = [], 0
+        if n >= _CHUNK:
+            yield piece
+        else:
+            batch.append(piece)
+            size += n
+    yield b"".join(batch)
 
 
 def save_checkpoint(path, state: CheckpointState) -> None:
@@ -120,9 +141,10 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         # whole-file copy of the payloads is ever made
         digest = hashlib.sha256()
         yield MAGIC + struct.pack("<I", VERSION)
-        for piece in itertools.chain([head], *records):
+        for piece in _joined(itertools.chain([head], *records)):
             digest.update(piece)
             yield piece
+            del piece  # written by now: freed before the next piece is joined
         yield digest.digest()[:DIGEST_SIZE]
 
     atomic_write_bytes(path, pieces())

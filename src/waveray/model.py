@@ -226,11 +226,12 @@ class WaveletClassifier(Module):
         return {name: p.data for name, p in self._params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take in each parameter's array, which must have its name, shape and
-        dtype; a bad set raises ConfigError and changes nothing."""
+        """Take in a copy of each parameter's array, which must have its name,
+        shape and dtype; a bad set raises ConfigError and changes nothing.
+        Later edits to ``arrays`` never reach the model."""
         check_state("state", self._params, arrays)
         for name, p in self._params.items():
-            p.data = np.ascontiguousarray(arrays[name])
+            p.data = np.array(arrays[name], order="C")
             p.grad = None
 
     def ray_fields(self) -> list[RayField]:

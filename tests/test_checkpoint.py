@@ -474,6 +474,78 @@ class TestDtypes:
             load_checkpoint(p)
 
 
+def _moments(params):
+    return {k: v * 0.5 for k, v in params.items()}, {k: v * v for k, v in params.items()}
+
+
+# params whose records fall on both sides of the 1 MiB join limit
+STRADDLING = {
+    "small-records-over-1MiB": lambda rng: {
+        f"w{i:03d}": rng.normal(size=1000).astype(np.float32) for i in range(300)},
+    # a small record before, between and after 1 MiB - 4, 1 MiB and 1 MiB + 4 bytes
+    "payloads-at-1MiB": lambda rng: {
+        k: rng.normal(size=n).astype(np.float32)
+        for k, n in {"a": 3, "b": 2**18 - 1, "c": 5, "d": 2**18, "e": 7, "f": 2**18 + 1,
+                     "g": 2}.items()},
+    "float32-float64-rank0": lambda rng: {
+        "f4": rng.normal(size=(40, 50)).astype(np.float32), "f4-0": np.float32(-1.5),
+        "f8": rng.normal(size=2**17), "f8-0": np.float64(np.e),
+        "f8-small": rng.normal(size=(3, 4))},
+}
+
+
+class TestStreamingSave:
+    @pytest.mark.parametrize("case", list(STRADDLING))
+    def test_file_matches_an_independent_writer(self, tmp_path, rng, monkeypatch, case):
+        """The file is the bytes ``_blob`` lays out.  It is written as joined
+        pieces of at most 1 MiB, each as large as the next record allows, and
+        as every payload of 1 MiB or more passed as its own array."""
+        params = STRADDLING[case](rng)
+        opt_m, opt_v = _moments(params)
+        state = tiny_state(rng, params=params, opt_m=opt_m, opt_v=opt_v)
+        pieces = []
+        write = checkpoint.atomic_write_bytes
+
+        def record(path, chunks):
+            pieces.extend(chunks)
+            write(path, pieces)
+
+        monkeypatch.setattr(checkpoint, "atomic_write_bytes", record)
+        p = tmp_path / "ck.wrnc"
+        save_checkpoint(p, state)
+        blob = p.read_bytes()
+        assert blob == _blob(state)
+        assert len(blob) > 3 * 2**20
+        body = pieces[1:-1]  # between the magic and version, and the trailer
+        for piece in body:
+            if isinstance(piece, bytes):
+                assert len(piece) <= checkpoint._CHUNK
+            else:
+                assert isinstance(piece, np.ndarray) and piece.nbytes >= checkpoint._CHUNK
+        for a, b in zip(body, body[1:]):
+            if isinstance(a, bytes) and isinstance(b, bytes):
+                assert len(a) + len(b) > checkpoint._CHUNK
+
+    def test_peak_memory_is_one_joined_piece(self, tmp_path, rng):
+        """Large payloads are never joined or copied, and a joined piece is
+        freed before the next is joined: while saving, traced memory stays
+        under 1.5 MiB however large the state."""
+        params = {"a": rng.normal(size=(1024, 1024)).astype(np.float32),
+                  "b": rng.normal(size=(256, 1024))}
+        params.update({f"s{i:02d}": rng.normal(size=10_000).astype(np.float32)
+                       for i in range(50)})
+        opt_m, opt_v = _moments(params)
+        state = tiny_state(rng, params=params, opt_m=opt_m, opt_v=opt_v)
+        assert 3 * sum(arr.nbytes for arr in params.values()) >= 16 * 2**20
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "big.wrnc", state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, peak
+
+
 class TestStreamingLoad:
     def test_peak_memory_is_the_payload(self, tmp_path, rng):
         """No whole-file buffer and no second copy: while loading, traced

@@ -272,6 +272,15 @@ class TestClassifier:
         for name, arr in model.state_arrays().items():
             np.testing.assert_array_equal(arr, saved[name])
 
+    def test_load_state_copies_the_arrays(self):
+        """Editing the loaded dict afterwards leaves the model as it was loaded."""
+        model = WaveletClassifier(desk_config(rays=1), seed=0)
+        arrs = {k: v + 0.5 for k, v in model.state_arrays().items()}
+        loaded = arrs["head.b"].copy()
+        model.load_state(arrs)
+        arrs["head.b"][:] = 7.0
+        np.testing.assert_array_equal(model.parameters()["head.b"].data, loaded)
+
     def test_load_state_rejects_mismatched_keys(self):
         model = WaveletClassifier(desk_config(rays=0), seed=0)
         arrays = model.state_arrays()
