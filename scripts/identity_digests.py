@@ -25,7 +25,10 @@ the whole classifier's probe.  Three lines digest every parameter's
 gradient after one taped desk step at batch 64: rays 3 in float32 and in
 float64, and rays 0 (the global-average-pooling head) in float32.  So a
 change to a backward shows here directly, not only through the trained
-checkpoints.  The last two lines are made from two AdamW steps over the
+checkpoints.  A fourth digests the float32 rays-3 gradients summed over two
+such passes, each on its own batch and tape with no clearing in between:
+the way to accumulate gradients, since a tape takes one backward.  The
+last two lines are made from two AdamW steps over the
 ``table1_config(rays=0)`` parameters with seeded gradients.  The whole desk
 model (35,206 parameters) is smaller than one block of the optimizer's
 blocked update; these lines reach parameters of many blocks.  The first
@@ -129,16 +132,19 @@ def logits_digest(checkpoint: Path, data: Path) -> str:
     return h.hexdigest()
 
 
-def grads_digest(dtype, rays: int) -> str:
-    """Digest of every parameter's gradient, in name order, after one taped
-    desk step of a ``dtype`` model with ray budget ``rays`` on 64 random images."""
+def grads_digest(dtype, rays: int, passes: int = 1) -> str:
+    """Digest of every parameter's gradient, in name order, after ``passes``
+    taped desk forward+backward passes of a ``dtype`` model with ray budget
+    ``rays``, each on 64 new random images and a fresh tape, with no clearing
+    of the gradients between them."""
     model = WaveletClassifier(desk_config(rays=rays), seed=0, dtype=dtype)
     gen = np.random.default_rng(0)
-    images = gen.normal(size=(64, 3, 32, 32))
-    labels = gen.integers(0, 3, size=64)
-    with Tape() as tape:
-        loss = cross_entropy(model.forward(images), labels)
-    backward(loss, tape)
+    for _ in range(passes):
+        images = gen.normal(size=(64, 3, 32, 32))
+        labels = gen.integers(0, 3, size=64)
+        with Tape() as tape:
+            loss = cross_entropy(model.forward(images), labels)
+        backward(loss, tape)
     h = hashlib.blake2b(digest_size=8)
     for name, param in sorted(model.parameters().items()):
         h.update(name.encode() + param.grad.tobytes())
@@ -209,6 +215,8 @@ def digest_lines() -> list:
     for rays, dtype in ((3, np.float32), (3, np.float64), (0, np.float32)):
         name = f"desk-rays{rays}-batch64-{np.dtype(dtype).name}"
         lines.append(f"{grads_digest(dtype, rays)}  grads/{name}")
+    summed = grads_digest(np.float32, 3, passes=2)
+    lines.append(f"{summed}  grads/desk-rays3-batch64-float32-2passes")
     lines += table1_optimizer_lines()
     return lines
 

@@ -7,8 +7,15 @@ the data flow, so :func:`backward` walks the node list in reverse exactly
 once, pushing gradients from the loss towards every leaf that wants them.
 One rule accumulates gradients, for intermediates and leaves alike: a
 value's first gradient is stored as it is and later ones are added to it.
-Nothing writes into a stored gradient in place, and calling backward twice
-without clearing doubles the stored gradients.
+Nothing writes into a stored gradient in place.
+
+A tape is consumed by one backward.  Each node's backward rule runs at most
+once and then drops the arrays it saved, and the walk lets go of each
+node's inputs and output as soon as it has passed the node, so the forward's
+arrays are freed while the backward runs.  The tape keeps its nodes; a
+second backward on it raises :class:`~waveray.errors.GraphError`.  To sum
+the gradients of several passes, record each on a fresh tape and skip
+clearing the gradients in between.
 
 No global state picks a dtype.  A leaf tensor keeps float32 or float64
 data as it is and stores any other data as float64; operations inherit the
@@ -26,6 +33,7 @@ from .errors import (
     BroadcastError,
     ConfigError,
     DetachedGraphError,
+    GraphError,
     InvalidAxisError,
     NonFiniteError,
     NonScalarLossError,
@@ -171,6 +179,22 @@ class Affine(Module):
         self.b = Tensor(np.zeros(n_out), requires_grad=True)
 
 
+class _Rule:
+    """A node's backward rule, callable once: after its call it drops the
+    closure, and with it every array the closure saved."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, g):
+        fn, self.fn = self.fn, None
+        if fn is None:
+            raise GraphError("this node's backward rule has already run")
+        return fn(g)
+
+
 class _Node:
     __slots__ = ("inputs", "out", "backward")
 
@@ -206,10 +230,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requiring leaf.
 
     The loss must be a scalar produced on ``tape``.  Intermediate gradients
-    are summed over all uses of a value; leaves accumulate across calls.
+    are summed over all uses of a value; leaves add to the gradient they
+    hold.  This consumes the tape: each node lets go of its inputs, output
+    and saved arrays once the walk has passed it, and a second call on the
+    same tape raises ``GraphError`` before any gradient changes.
     """
     if loss.data.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
+    if any(node.out is None for node in tape.nodes):
+        raise GraphError("this tape was consumed by an earlier backward; record a new one")
     produced = {id(node.out) for node in tape.nodes}
     if id(loss) not in produced:
         raise DetachedGraphError("loss was not produced by an op recorded on this tape")
@@ -217,10 +246,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
         g = grads.pop(id(node.out), None)
+        inputs = node.inputs
+        node.inputs = node.out = None
         if g is None:
             continue
-        input_grads = node.backward(g)
-        for t, gi in zip(node.inputs, input_grads):
+        for t, gi in zip(inputs, node.backward(g)):
             if gi is None or not t.requires_grad:
                 continue
             if id(t) in produced:
@@ -241,7 +271,7 @@ def _record_op(out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     out = Tensor._from_op(np.asarray(out_data), requires)
     tape = active_tape()
     if requires and tape is not None:
-        tape.nodes.append(_Node(inputs, out, backward_fn))
+        tape.nodes.append(_Node(inputs, out, _Rule(backward_fn)))
     return out
 
 

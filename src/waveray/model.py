@@ -130,27 +130,37 @@ class WaveletClassifier(Module):
     """The full model: wavelet backbone, optional encoder, linear head.
 
     Initial values are drawn in float64 and each parameter is then cast once
-    to ``dtype``; the parameters' dtype is the model's, and forwards compute
-    in it.
+    to ``dtype``, module by module as the modules are built; the parameters'
+    dtype is the model's, and forwards compute in it.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         config.validate()
         self.config = config
         rng = np.random.default_rng(seed)
+
+        def cast(module):
+            # each module is cast as soon as it is built, so the float64
+            # draws of at most one module are alive at a time
+            for _, p in module.named_params():
+                p.data = p.data.astype(dtype, copy=False)
+            return module
+
         bb = config.backbone
-        shared = RayField(config.n_origins) if (config.share_ray_fields and config.rays) else None
-        self.stem = Stem(bb.stem_channels, rng)
+        shared = (cast(RayField(config.n_origins))
+                  if (config.share_ray_fields and config.rays) else None)
+        self.stem = cast(Stem(bb.stem_channels, rng))
         ec, rc = tuple(bb.extraction_channels), tuple(bb.refinement_channels)
-        self.extracts = [ExtractStage(ec[0], ec[1], rng), ExtractStage(ec[1], ec[2], rng)]
+        self.extracts = [cast(ExtractStage(ec[0], ec[1], rng)),
+                         cast(ExtractStage(ec[1], ec[2], rng))]
         self.stages = []
         for i in range(bb.refinement_stages):
             stage = Module()
-            stage.blocks = [ModulationBlock(rc[i], rng, bb.bottleneck_factor)
+            stage.blocks = [cast(ModulationBlock(rc[i], rng, bb.bottleneck_factor))
                             for _ in range(bb.blocks_per_stage)]
-            stage.rays = [RayLayer(rc[i], rng, n_origins=config.n_origins, field=shared)
+            stage.rays = [cast(RayLayer(rc[i], rng, n_origins=config.n_origins, field=shared))
                           for _ in range(bb.ray_layers_per_stage if i < min(config.rays, 2) else 0)]
-            stage.pool = WavePool(rc[i], rc[i + 1], rng, stride=1 if i == len(rc) - 2 else 2)
+            stage.pool = cast(WavePool(rc[i], rc[i + 1], rng, stride=1 if i == len(rc) - 2 else 2))
             self.stages.append(stage)
         if config.rays >= 3:
             self.encoder = RayEncoder(rc[-1], d_model=config.d_model, n_layers=1,
@@ -158,14 +168,13 @@ class WaveletClassifier(Module):
             if shared is not None:
                 for layer in self.encoder.layers:
                     layer.field = shared
+            cast(self.encoder)
             head_in = config.d_model
         else:
             self.encoder = None
             head_in = rc[-1]
-        self.head = Affine(rng.normal(0.0, 0.02, (head_in, config.classes)), config.classes)
+        self.head = cast(Affine(rng.normal(0.0, 0.02, (head_in, config.classes)), config.classes))
         self._params = dict(self.named_params())
-        for p in self._params.values():
-            p.data = p.data.astype(dtype, copy=False)
 
     def parameters(self) -> dict[str, Tensor]:
         return self._params

@@ -10,6 +10,7 @@ from waveray.autodiff import Tape, Tensor, backward
 from waveray.errors import (
     BroadcastError,
     DetachedGraphError,
+    GraphError,
     InvalidAxisError,
     NonScalarLossError,
     ShapeError,
@@ -64,14 +65,33 @@ class TestTapeMechanics:
         (g,) = grads_of(fn, x)
         np.testing.assert_allclose(g, [7.0], rtol=1e-6)
 
-    def test_repeated_backward_accumulates(self):
+    def test_second_backward_on_a_tape_is_refused(self):
         x = Tensor(np.array([1.0, -1.0]), requires_grad=True)
         with Tape() as tape:
             loss = ad.reduce_sum(ad.mul(x, x))
         backward(loss, tape)
-        first = x.grad.copy()
+        first = x.grad
+        with pytest.raises(GraphError, match="consumed"):
+            backward(loss, tape)
+        assert x.grad is first
+        np.testing.assert_array_equal(first, [2.0, -2.0])
+
+    def test_backward_frees_what_the_nodes_saved(self):
+        x = Tensor(np.array([1.0, -1.0]), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(x, x))
         backward(loss, tape)
-        np.testing.assert_allclose(x.grad, 2.0 * first, rtol=1e-6)
+        assert len(tape) == 2
+        for node in tape.nodes:
+            assert node.inputs is None and node.out is None and node.backward.fn is None
+
+    def test_passes_on_fresh_tapes_accumulate(self):
+        x = Tensor(np.array([1.0, -1.0]), requires_grad=True)
+        for _ in range(2):
+            with Tape() as tape:
+                loss = ad.reduce_sum(ad.mul(x, x))
+            backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [4.0, -4.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)

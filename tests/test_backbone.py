@@ -250,7 +250,7 @@ class TestBandNode:
         h = Tensor(rng.normal(size=(2, 8, 4, 4)), requires_grad=True)
         with Tape() as tape:
             block.context(h)
-        kinds = [n.backward.__qualname__.split(".")[0] for n in tape.nodes]
+        kinds = [n.backward.fn.__qualname__.split(".")[0] for n in tape.nodes]
         assert kinds == ["pointwise_conv", "sep_conv1d"]
 
     def test_desk_step_records_at_most_160_nodes(self):
