@@ -35,22 +35,14 @@ from .errors import (
     DetachedGraphError,
     GraphError,
     InvalidAxisError,
-    NonFiniteError,
     NonScalarLossError,
     ShapeError,
 )
 
 _DTYPES = {"single": np.float32, "double": np.float64}
 _FLOATS = tuple(np.dtype(t) for t in _DTYPES.values())
-_CHECK_FINITE = False
 
 _TAPES: list = []  # active tapes, innermost last
-
-
-def set_check_finite(enabled: bool) -> None:
-    """Debug assertion: raise NonFiniteError whenever an op emits NaN/Inf."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
 
 
 class Tensor:
@@ -69,8 +61,6 @@ class Tensor:
         arr = np.ascontiguousarray(data)
         if arr.dtype not in _FLOATS:
             arr = arr.astype(np.float64)
-        if _CHECK_FINITE and not np.all(np.isfinite(arr)):
-            raise NonFiniteError("leaf tensor contains NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -80,8 +70,6 @@ class Tensor:
         out = object.__new__(cls)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        if _CHECK_FINITE and not np.all(np.isfinite(arr)):
-            raise NonFiniteError("operation produced NaN or Inf")
         out.data = arr
         out.requires_grad = requires_grad
         out.grad = None
@@ -507,6 +495,7 @@ def softmax(x, axis: int) -> Tensor:
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_LN_EPS = 1e-5
 
 
 def gelu(x) -> Tensor:
@@ -523,7 +512,7 @@ def gelu(x) -> Tensor:
     return _record_op(out, (x,), bw)
 
 
-def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, shift) -> Tensor:
     """Normalize over the channel axis of an NCHW tensor, then scale/shift.
 
     Statistics are per (sample, row, column) position; ``gain`` and
@@ -543,7 +532,7 @@ def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
     mu = np.add.reduce(x.data, axis=1, keepdims=True) / c
     centered = x.data - mu
     var = np.add.reduce(centered * centered, axis=1, keepdims=True) / c
-    invstd = 1.0 / np.sqrt(var + eps)
+    invstd = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * invstd
     gcol = gain.data.reshape(1, c, 1, 1)
     out = xhat * gcol + shift.data.reshape(1, c, 1, 1)

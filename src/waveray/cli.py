@@ -127,7 +127,7 @@ def _merge_cli_values(args) -> dict:
     return values
 
 
-def _set_pair(text: str) -> tuple[str, str]:
+def _key_value(text: str) -> tuple[str, str]:
     """Parse one ``--set`` argument into its key and value."""
     key, sep, value = text.partition("=")
     if not sep:
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peak-lr", dest="peak_lr", type=float)
     p.add_argument("--weight-decay", dest="weight_decay", type=float)
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.add_argument("--set", action="append", type=_set_pair, metavar="KEY=VALUE",
+    p.add_argument("--set", action="append", type=_key_value, metavar="KEY=VALUE",
                    help="override any config key (repeatable)")
     p.set_defaults(fn=cmd_train)
 
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the full-scale preset (same as --set preset=table1)")
     p.add_argument("--rays", type=int)
     p.add_argument("--classes", type=int)
-    p.add_argument("--set", action="append", type=_set_pair, metavar="KEY=VALUE")
+    p.add_argument("--set", action="append", type=_key_value, metavar="KEY=VALUE")
     p.set_defaults(fn=cmd_param_count)
 
     p = sub.add_parser("synth", help="generate a synthetic shape dataset")

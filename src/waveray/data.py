@@ -348,16 +348,14 @@ def write_origin_csv(path, rows) -> None:
 
 
 def atomic_write_bytes(path, chunks) -> None:
-    """Write ``chunks`` (one bytes-like object, or an iterable of them) via a
-    temp file and rename, so readers never see partial data.
+    """Write ``chunks`` (an iterable of bytes-like objects) via a temp file
+    and rename, so readers never see partial data.
 
     If writing fails, the temp file is removed and the old ``path`` is left
     as it was.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    if isinstance(chunks, (bytes, bytearray, memoryview)):
-        chunks = (chunks,)
     try:
         with open(tmp, "wb") as fh:
             fh.writelines(chunks)

@@ -24,10 +24,6 @@ class InvalidAxisError(WaverayError, ValueError):
     """An axis argument is out of range for the given tensor."""
 
 
-class NonFiniteError(WaverayError, FloatingPointError):
-    """A tensor contains NaN or Inf (raised only in debug mode)."""
-
-
 class GraphError(WaverayError, RuntimeError):
     """The backward pass cannot run on the recorded graph."""
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Affine, Module, Tensor, _as_tensor, _record_op, check_state
+from .autodiff import _FLOATS, Affine, Module, Tensor, _as_tensor, _record_op, check_state
 from .backbone import BackboneConfig, ExtractStage, FeaturePyramid, ModulationBlock, Stem, WavePool
 from .errors import ConfigError, DataError, ShapeError, check_field_types
 from .rays import RayEncoder, RayField, RayLayer
@@ -130,12 +130,14 @@ class WaveletClassifier(Module):
     """The full model: wavelet backbone, optional encoder, linear head.
 
     Initial values are drawn in float64 and each parameter is then cast once
-    to ``dtype``, module by module as the modules are built; the parameters'
-    dtype is the model's, and forwards compute in it.
+    to ``dtype`` (float32 or float64), module by module as the modules are
+    built; the parameters' dtype is the model's, and forwards compute in it.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         config.validate()
+        if dtype not in _FLOATS:
+            raise ConfigError(f"a model's dtype must be float32 or float64, got {dtype!r}")
         self.config = config
         rng = np.random.default_rng(seed)
 

@@ -50,13 +50,6 @@ from .autodiff import Tensor, _as_tensor, _record_op
 from .errors import ShapeError
 
 
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (int, np.integer)):
-        return int(v), int(v)
-    a, b = v
-    return int(a), int(b)
-
-
 def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
     """Strided, grouped 2-D cross-correlation with zero padding.
 
@@ -69,8 +62,8 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
         raise ShapeError(f"conv2d expects NCHW input and OIHW kernel, got {x.shape} and {kernel.shape}")
     n, c, h, w = x.shape
     cout, cin_g, kh, kw = kernel.shape
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
+    sh, sw = map(int, stride)
+    ph, pw = map(int, padding)
     if sh < 1 or sw < 1 or ph < 0 or pw < 0:
         raise ShapeError(f"bad stride {stride!r} or padding {padding!r}")
     if groups < 1 or c % groups or cout % groups:

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Affine, LayerNorm, Module, Tensor, _as_tensor, _record_op
+from .backbone import _he_pointwise
 from .errors import ConfigError, ShapeError
 from .fft import fft2_array, ifft2_array
 from .ops import pointwise_conv
@@ -214,11 +215,9 @@ class MLP(Module):
 
     def __init__(self, channels: int, rng):
         hidden = 4 * channels
-        self.w1 = Tensor(rng.normal(0.0, np.sqrt(2.0 / channels), (hidden, channels)),
-                         requires_grad=True)
+        self.w1 = _he_pointwise(rng, hidden, channels)
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(rng.normal(0.0, np.sqrt(2.0 / hidden), (channels, hidden)),
-                         requires_grad=True)
+        self.w2 = _he_pointwise(rng, channels, hidden)
         self.b2 = Tensor(np.zeros(channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:

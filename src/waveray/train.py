@@ -77,8 +77,6 @@ class Metrics:
 
 def _top_k_hits(logits: np.ndarray, labels: np.ndarray, k: int) -> int:
     k = min(k, logits.shape[1])
-    if k == 1:
-        return int((logits.argmax(axis=1) == labels).sum())
     part = np.argpartition(logits, -k, axis=1)[:, -k:]
     return int((part == labels[:, None]).any(axis=1).sum())
 

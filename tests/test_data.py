@@ -326,8 +326,8 @@ class TestExportHelpers:
 
     def test_atomic_write_replaces_and_leaves_no_temp(self, tmp_path):
         p = tmp_path / "blob.bin"
-        atomic_write_bytes(p, b"first")
-        atomic_write_bytes(p, b"second")
+        atomic_write_bytes(p, [b"first"])
+        atomic_write_bytes(p, [b"second"])
         assert p.read_bytes() == b"second"
         assert list(tmp_path.iterdir()) == [p]
 
@@ -338,7 +338,7 @@ class TestExportHelpers:
 
     def test_failed_atomic_write_keeps_target_and_removes_temp(self, tmp_path):
         p = tmp_path / "blob.bin"
-        atomic_write_bytes(p, b"first")
+        atomic_write_bytes(p, [b"first"])
 
         def chunks():
             yield b"partial"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from waveray import autodiff as ad
-from waveray.autodiff import Tensor, _record_op
+from waveray.autodiff import Tape, Tensor, _record_op, backward
 from waveray.errors import ConfigError
 from waveray.gradcheck import (
     BLOCK_PROBES,
@@ -16,6 +16,7 @@ from waveray.gradcheck import (
     finite_diff_check,
     run_scope,
 )
+from waveray.model import WaveletClassifier, cross_entropy, table1_config
 
 
 def _quadratic_probe(rng):
@@ -160,3 +161,58 @@ class TestScopes:
         rows = run_scope("op", seed=0)
         conv_inputs = {inp for name, inp, _ in rows if name == "conv2d"}
         assert conv_inputs == {"x", "kernel"}
+
+
+class TestPaperScale:
+    """The whole table-1 classifier with every ray layer, at batch 1, where
+    the sampled probes above cannot reach: one taped step per dtype."""
+
+    STEP = 1e-5  # worst error 8.5e-9; steps of 1e-6 and 1e-4 read 2.0e-7 and 1.5e-7
+    DIRECTIONAL_TOL = 1e-6
+    DRIFT_TOL = 1e-4
+
+    def test_directional_derivative_and_float32_drift(self):
+        """Per top-level component: ``<grad, v>`` of the float64 model against a
+        central difference along one random unit direction ``v``, and the
+        float32 gradient's largest deviation from the float64 one, relative
+        to the largest float64 gradient entry."""
+        config = table1_config(rays=3, classes=10)
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(1, 3, config.input_extent, config.input_extent))
+        labels = np.array([3])
+        double = WaveletClassifier(config, seed=0, dtype=np.float64)
+        single = WaveletClassifier(config, seed=0)
+        for model in (double, single):
+            with Tape() as tape:
+                loss = cross_entropy(model.forward(images), labels)
+            backward(loss, tape)
+        params = double.parameters()
+        components: dict[str, list[str]] = {}
+        for name in params:
+            components.setdefault(name.split(".", 1)[0], []).append(name)
+        assert list(components) == ["stem", "extract0", "extract1", "stage0", "stage1",
+                                    "encoder", "head"]
+
+        directional, drift = {}, {}
+        for component, names in components.items():
+            v = {n: rng.normal(size=params[n].shape) for n in names}
+            norm = np.sqrt(sum(np.sum(d * d) for d in v.values()))
+            v = {n: d / norm for n, d in v.items()}
+            analytic = sum(np.sum(params[n].grad * v[n]) for n in names)
+            base = {n: params[n].data for n in names}
+            losses = []
+            for sign in (1.0, -1.0):
+                for n in names:
+                    params[n].data = base[n] + sign * self.STEP * v[n]
+                losses.append(cross_entropy(double.forward(images), labels).item())
+            for n in names:
+                params[n].data = base[n]
+            numeric = (losses[0] - losses[1]) / (2 * self.STEP)
+            directional[component] = abs(analytic - numeric) / max(abs(analytic), abs(numeric))
+
+            g32 = single.parameters()
+            deviation = max(np.abs(g32[n].grad - params[n].grad).max() for n in names)
+            drift[component] = deviation / max(np.abs(params[n].grad).max() for n in names)
+
+        assert max(directional.values()) <= self.DIRECTIONAL_TOL, directional
+        assert max(drift.values()) <= self.DRIFT_TOL, drift

@@ -255,6 +255,18 @@ class TestClassifier:
                 assert single.parameters()[name].dtype == np.float32
                 assert np.array_equal(single.parameters()[name].data, p.data.astype(np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
+    def test_dtype_other_than_float32_or_float64_is_refused_before_drawing(
+            self, dtype, monkeypatch):
+        """A float16 model would return float64 logits and an int32 one would
+        truncate every He draw; both are refused before the rng is made."""
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew initial values for a refused dtype")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ConfigError, match="float32 or float64"):
+            WaveletClassifier(desk_config(rays=3), seed=0, dtype=dtype)
+
     def test_load_state_rejects_another_dtype(self):
         model = WaveletClassifier(desk_config(rays=1), seed=0)
         before = {k: v.copy() for k, v in model.state_arrays().items()}
