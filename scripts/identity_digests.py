@@ -27,7 +27,9 @@ float64, and rays 0 (the global-average-pooling head) in float32.  So a
 change to a backward shows here directly, not only through the trained
 checkpoints.  A fourth digests the float32 rays-3 gradients summed over two
 such passes, each on its own batch and tape with no clearing in between:
-the way to accumulate gradients, since a tape takes one backward.  The
+the way to accumulate gradients, since a tape takes one backward.  One
+more digests the gradients of one float32 step of ``table1_config(rays=3)``
+at batch 1, so backward rules are checked at paper-scale shapes too.  The
 last two lines are made from two AdamW steps over the
 ``table1_config(rays=0)`` parameters with seeded gradients.  The whole desk
 model (35,206 parameters) is smaller than one block of the optimizer's
@@ -132,16 +134,17 @@ def logits_digest(checkpoint: Path, data: Path) -> str:
     return h.hexdigest()
 
 
-def grads_digest(dtype, rays: int, passes: int = 1) -> str:
+def grads_digest(config: ModelConfig, dtype, batch: int = 64, passes: int = 1) -> str:
     """Digest of every parameter's gradient, in name order, after ``passes``
-    taped desk forward+backward passes of a ``dtype`` model with ray budget
-    ``rays``, each on 64 new random images and a fresh tape, with no clearing
-    of the gradients between them."""
-    model = WaveletClassifier(desk_config(rays=rays), seed=0, dtype=dtype)
+    taped forward+backward passes of a ``dtype`` model of ``config``, each on
+    ``batch`` new random images and a fresh tape, with no clearing of the
+    gradients between them."""
+    model = WaveletClassifier(config, seed=0, dtype=dtype)
     gen = np.random.default_rng(0)
+    e = config.input_extent
     for _ in range(passes):
-        images = gen.normal(size=(64, 3, 32, 32))
-        labels = gen.integers(0, 3, size=64)
+        images = gen.normal(size=(batch, 3, e, e))
+        labels = gen.integers(0, config.classes, size=batch)
         with Tape() as tape:
             loss = cross_entropy(model.forward(images), labels)
         backward(loss, tape)
@@ -214,9 +217,11 @@ def digest_lines() -> list:
             lines.append(f"{digest(gradcheck.encode())}  stdout/gradcheck-{scope}")
     for rays, dtype in ((3, np.float32), (3, np.float64), (0, np.float32)):
         name = f"desk-rays{rays}-batch64-{np.dtype(dtype).name}"
-        lines.append(f"{grads_digest(dtype, rays)}  grads/{name}")
-    summed = grads_digest(np.float32, 3, passes=2)
+        lines.append(f"{grads_digest(desk_config(rays=rays), dtype)}  grads/{name}")
+    summed = grads_digest(desk_config(rays=3), np.float32, passes=2)
     lines.append(f"{summed}  grads/desk-rays3-batch64-float32-2passes")
+    table1 = grads_digest(table1_config(rays=3), np.float32, batch=1)
+    lines.append(f"{table1}  grads/table1-rays3-batch1-float32")
     lines += table1_optimizer_lines()
     return lines
 

@@ -9,9 +9,18 @@ One rule accumulates gradients, for intermediates and leaves alike: a
 value's first gradient is stored as it is and later ones are added to it.
 Nothing writes into a stored gradient in place.
 
+A node keeps keys, not tensors.  Recording a node gives its output a
+serial key, and the node holds, per input, nothing if the input needs no
+gradient, the input's key if a node of the same tape produced it, or else
+the input tensor itself: a leaf, or a value from another tape, whose
+``.grad`` the backward accumulates.  :func:`backward` routes gradients by
+key.  Each rule's closure keeps only the arrays its arithmetic reads, plus
+shapes and flags, so every other array of the forward is freed as soon as
+the forward's own code lets go of it.
+
 A tape is consumed by one backward.  Each node's backward rule runs at most
 once and then drops the arrays it saved, and the walk lets go of each
-node's inputs and output as soon as it has passed the node, so the forward's
+node's inputs and output as soon as it has passed the node, so the saved
 arrays are freed while the backward runs.  The tape keeps its nodes; a
 second backward on it raises :class:`~waveray.errors.GraphError`.  To sum
 the gradients of several passes, record each on a fresh tape and skip
@@ -25,6 +34,8 @@ float64 to check gradients.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -43,6 +54,7 @@ _DTYPES = {"single": np.float32, "double": np.float64}
 _FLOATS = tuple(np.dtype(t) for t in _DTYPES.values())
 
 _TAPES: list = []  # active tapes, innermost last
+_KEYS = itertools.count()  # serial keys of recorded op outputs, unique per process
 
 
 class Tensor:
@@ -55,15 +67,16 @@ class Tensor:
     ``data``, between recorded steps.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(data)
+        arr = np.asarray(data, order="C")  # ascontiguousarray would make rank 0 rank 1
         if arr.dtype not in _FLOATS:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._key = None  # set when a tape records the op that produced this tensor
 
     @classmethod
     def _from_op(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -73,6 +86,7 @@ class Tensor:
         out.data = arr
         out.requires_grad = requires_grad
         out.grad = None
+        out._key = None
         return out
 
     @property
@@ -184,6 +198,9 @@ class _Rule:
 
 
 class _Node:
+    """One recorded op: per input ``None``, a key or a tensor (see the module
+    docstring), the output's key, and the backward rule."""
+
     __slots__ = ("inputs", "out", "backward")
 
     def __init__(self, inputs, out, backward):
@@ -197,6 +214,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.keys: set = set()  # the keys of the outputs its nodes produced
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -227,25 +245,24 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
     if any(node.out is None for node in tape.nodes):
         raise GraphError("this tape was consumed by an earlier backward; record a new one")
-    produced = {id(node.out) for node in tape.nodes}
-    if id(loss) not in produced:
+    if loss._key not in tape.keys:
         raise DetachedGraphError("loss was not produced by an op recorded on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
+        g = grads.pop(node.out, None)
         inputs = node.inputs
         node.inputs = node.out = None
         if g is None:
             continue
         for t, gi in zip(inputs, node.backward(g)):
-            if gi is None or not t.requires_grad:
+            if gi is None or t is None:
                 continue
-            if id(t) in produced:
-                acc = grads.get(id(t))
-                grads[id(t)] = gi if acc is None else acc + gi
-            else:
+            if isinstance(t, Tensor):
                 t.grad = gi if t.grad is None else t.grad + gi
+            else:
+                acc = grads.get(t)
+                grads[t] = gi if acc is None else acc + gi
 
 
 def _as_tensor(x) -> Tensor:
@@ -259,7 +276,12 @@ def _record_op(out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     out = Tensor._from_op(np.asarray(out_data), requires)
     tape = active_tape()
     if requires and tape is not None:
-        tape.nodes.append(_Node(inputs, out, _Rule(backward_fn)))
+        keys = tape.keys
+        held = tuple(t._key if t._key in keys else t if t.requires_grad else None
+                     for t in inputs)
+        out._key = next(_KEYS)
+        keys.add(out._key)
+        tape.nodes.append(_Node(held, out._key, _Rule(backward_fn)))
     return out
 
 
@@ -299,9 +321,10 @@ def _normalize_axis(axis: int, ndim: int) -> int:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = _binary(np.add, a, b)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record_op(out, (a, b), bw)
 
@@ -309,20 +332,21 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = _binary(np.subtract, a, b)
+    sa, sb = a.shape, b.shape
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _record_op(out, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
     out = _binary(np.multiply, a, b)
 
     def bw(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, sa), _unbroadcast(g * ad, sb)
 
     return _record_op(out, (a, b), bw)
 
@@ -410,8 +434,10 @@ def concat(tensors, axis: int) -> Tensor:
             f"concat extents differ off-axis: {[t.shape for t in tensors]}"
         ) from None
 
+    splits = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+
     def bw(g):
-        return np.split(g, np.cumsum([t.shape[axis] for t in tensors[:-1]]), axis=axis)
+        return np.split(g, splits, axis=axis)
 
     return _record_op(out, tuple(tensors), bw)
 
@@ -452,9 +478,9 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     ax = _axis_tuple(axis, x.ndim)
     out = x.data.mean(axis=ax, keepdims=keepdims)
     in_shape = x.shape
+    count = x.size if ax is None else int(np.prod([in_shape[a] for a in ax]))
 
     def bw(g):
-        count = x.size if ax is None else int(np.prod([in_shape[a] for a in ax]))
         return (_spread(g, ax, keepdims, in_shape) / count,)
 
     return _record_op(out, (x,), bw)
@@ -499,15 +525,18 @@ _LN_EPS = 1e-5
 
 
 def gelu(x) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU.  When its node will be recorded, the forward
+    also forms the slope ``cdf + d * pdf``, the one array its backward reads."""
     x = _as_tensor(x)
     d = x.data
     cdf = 0.5 * (1.0 + _erf(d * _INV_SQRT2))
     out = d * cdf
+    slope = None
+    if x.requires_grad and active_tape() is not None:
+        slope = cdf + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI)
 
     def bw(g):
-        pdf = np.exp(-0.5 * d * d) * _INV_SQRT_2PI
-        return (g * (cdf + d * pdf),)
+        return (g * slope,)
 
     return _record_op(out, (x,), bw)
 

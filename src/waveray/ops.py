@@ -89,17 +89,18 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
     ).reshape(groups, cin_g * kh * kw, n * ho * wo)
     kg = kernel.data.reshape(groups, cout_g, cin_g * kh * kw)
     out = np.matmul(kg, patches).reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
+    x_requires, k_shape, xp_shape, dtype = x.requires_grad, kernel.shape, xp.shape, xp.dtype
 
     def bw(g):
         gg = g.reshape(n, groups, cout_g, ho, wo)
         g_rows = gg.transpose(1, 0, 3, 4, 2).reshape(groups, n * ho * wo, cout_g)
-        gk = np.matmul(patches, g_rows).transpose(0, 2, 1).reshape(kernel.shape)
-        if not x.requires_grad:  # the images, say: skip the scatter nothing reads
+        gk = np.matmul(patches, g_rows).transpose(0, 2, 1).reshape(k_shape)
+        if not x_requires:  # the images, say: skip the scatter nothing reads
             return None, gk
         g_cols = gg.transpose(1, 2, 0, 3, 4).reshape(groups, cout_g, n * ho * wo)
         gwin = np.matmul(kg.transpose(0, 2, 1), g_cols)
         gwin = gwin.reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 4, 5, 1, 2)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(xp_shape, dtype=dtype)
         for a in range(kh):
             for b in range(kw):
                 gxp[:, :, a : a + sh * (ho - 1) + 1 : sh, b : b + sw * (wo - 1) + 1 : sw] += gwin[
@@ -134,7 +135,8 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
     xd = x.data
     x_rows = xd.transpose(0, 2, 3, 1).reshape(n * h * w, cin)
     out = np.matmul(x_rows, w2.T).reshape(n, h, w, cout).transpose(0, 3, 1, 2)
-    if bias is not None:
+    has_bias = bias is not None
+    if has_bias:
         out = out + bias.data.reshape(1, cout, 1, 1)
 
     def bw(g):
@@ -143,11 +145,11 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
         g_cols = g.transpose(1, 0, 2, 3).reshape(cout, n * h * w)
         gw = np.matmul(x_cols, g_rows).T
         gx = np.matmul(w2.T, g_cols).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
-        if bias is None:
+        if not has_bias:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return _record_op(out, (x, weight) if bias is None else (x, weight, bias), bw)
+    return _record_op(out, (x, weight, bias) if has_bias else (x, weight), bw)
 
 
 # a map's axis order with the given axis first, and the order that undoes it

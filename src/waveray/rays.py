@@ -75,12 +75,13 @@ def distance_matrix(origins, coords) -> Tensor:
         raise ShapeError(f"coords must be (m, 2), got {coords.shape}")
     diff = origins.data[:, None, :] - coords.data[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
+    o_requires, c_requires = origins.requires_grad, coords.requires_grad
 
     def bw(g):
         safe = np.where(dist > 0.0, dist, 1.0)
         u = np.where(dist > 0.0, g / safe, 0.0)
-        go = (u[:, :, None] * diff).sum(axis=1) if origins.requires_grad else None
-        gc = -(u[:, :, None] * diff).sum(axis=0) if coords.requires_grad else None
+        go = (u[:, :, None] * diff).sum(axis=1) if o_requires else None
+        gc = -(u[:, :, None] * diff).sum(axis=0) if c_requires else None
         return go, gc
 
     return _record_op(dist, (origins, coords), bw)
@@ -198,14 +199,15 @@ def spectral_modulate(f, mask) -> Tensor:
     h, w = f.shape[2], f.shape[3]
     if mask.shape != (h, w):
         raise ShapeError(f"mask shape {mask.shape} does not match map extents {(h, w)}")
+    m, f_dtype = mask.data, f.dtype
     spec = fft2_array(f.data)
-    out = ifft2_array(spec * mask.data).real.astype(f.dtype)
+    out = ifft2_array(spec * m).real.astype(f_dtype)
 
     def bw(g):
         gspec = fft2_array(g)
-        gf = ifft2_array(gspec * mask.data).real.astype(f.dtype)
+        gf = ifft2_array(gspec * m).real.astype(f_dtype)
         gm = (spec * np.conj(gspec)).real.sum(axis=(0, 1)) / (h * w)
-        return gf, gm.astype(mask.dtype)
+        return gf, gm.astype(m.dtype)
 
     return _record_op(out, (f, mask), bw)
 

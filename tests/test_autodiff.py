@@ -85,6 +85,36 @@ class TestTapeMechanics:
         for node in tape.nodes:
             assert node.inputs is None and node.out is None and node.backward.fn is None
 
+    def test_rank0_leaf_keeps_its_shape(self):
+        x = Tensor(np.array(3.0), requires_grad=True)
+        assert x.shape == ()
+        (g,) = grads_of(lambda: ad.mul(x, x), x)
+        assert g.shape == () and g == 6.0
+
+    def test_gradients_route_through_freed_intermediates(self):
+        # no node keeps the scaled copies alive, so their memory (and any
+        # id() of them) is reused while the tape is still being recorded
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+
+        def fn():
+            acc = ad.reduce_sum(ad.scale(x, 1.0))
+            for i in range(2, 51):
+                acc = ad.add(acc, ad.reduce_sum(ad.scale(x, float(i))))
+            return acc
+
+        (g,) = grads_of(fn, x)
+        np.testing.assert_array_equal(g, [1275.0, 1275.0])
+
+    def test_value_from_another_tape_accumulates_like_a_leaf(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape():
+            y = ad.mul(x, x)
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.scale(y, 3.0))
+        backward(loss, tape)
+        np.testing.assert_array_equal(y.grad, [3.0, 3.0])
+        assert x.grad is None
+
     def test_passes_on_fresh_tapes_accumulate(self):
         x = Tensor(np.array([1.0, -1.0]), requires_grad=True)
         for _ in range(2):

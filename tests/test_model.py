@@ -368,6 +368,56 @@ class TestClassifier:
         assert len(tape) == nodes == 142
         assert kept <= 2**20, f"{kept / 2**20:.2f} MiB still traced"
 
+    def test_forward_keeps_only_what_the_backward_reads(self):
+        """After the forward of a desk rays-3 batch-64 float32 step, with the
+        tape and the loss still referenced, 18.1 MiB is traced; a tape that
+        held every op's inputs and output kept 23.2 MiB."""
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        gen = np.random.default_rng(0)
+        images = gen.normal(size=(64, 3, 32, 32)).astype(np.float32)
+        labels = gen.integers(0, 3, size=64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = cross_entropy(model.forward(images), labels)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 142 and loss.requires_grad
+        assert kept <= 20 * 2**20, f"{kept / 2**20:.2f} MiB traced after the forward"
+
+    def test_nodes_hold_keys_and_parameters_not_tensors(self):
+        """No backward rule's closure holds a Tensor, not even in a list, tuple
+        or dict, and a node holds a Tensor only for a parameter, a leaf that
+        requires a gradient; its other inputs are keys or None."""
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        gen = np.random.default_rng(0)
+        images = gen.normal(size=(4, 3, 32, 32)).astype(np.float32)
+        with Tape() as tape:
+            cross_entropy(model.forward(images), gen.integers(0, 3, size=4))
+        params = {id(p) for p in model.parameters().values()}
+
+        def tensors_in(obj):
+            if isinstance(obj, Tensor):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from tensors_in(item)
+            elif isinstance(obj, dict):
+                yield from tensors_in(list(obj.values()))
+
+        assert len(tape) == 142
+        for node in tape.nodes:
+            rule = node.backward.fn
+            cells = [cell.cell_contents for cell in rule.__closure__ or ()]
+            assert not list(tensors_in(cells)), f"{rule.__qualname__} keeps a Tensor"
+            for held in node.inputs:
+                if isinstance(held, Tensor):
+                    assert id(held) in params and held.requires_grad, rule.__qualname__
+                else:
+                    assert held is None or isinstance(held, int), rule.__qualname__
+
 
 @pytest.fixture
 def computed_maps(monkeypatch):
