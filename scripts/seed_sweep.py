@@ -16,9 +16,9 @@ its per-seed records as JSON:
     python3 scripts/seed_sweep.py column --out change.json
     python3 scripts/seed_sweep.py column --src OTHER/src --label parent --out parent.json
 
-It runs ``--jobs`` worker processes (default 2), each at
-``OPENBLAS_NUM_THREADS=1``; desk results do not depend on the BLAS thread
-count, so neither the job count nor the thread count moves a record.
+It runs two worker processes, each at ``OPENBLAS_NUM_THREADS=1``; desk
+results do not depend on the BLAS thread count, so neither the worker count
+nor the thread count moves a record.
 ``claims`` pairs two columns seed by seed and writes the comparison:
 
     python3 scripts/seed_sweep.py claims parent.json change.json --out CLAIMS.json
@@ -55,6 +55,7 @@ DATA = dict(classes=3, per_class=64, extent=32, placement="center", noise=0.05, 
 RAYS = (0, 3)
 TRAIN = dict(epochs=120, batch_size=64, peak_lr=4e-3, weight_decay=0.15)
 ALPHA = 0.05
+JOBS = 2
 
 
 def run_seed(seed: int) -> dict:
@@ -129,9 +130,9 @@ def column(args) -> None:
               f"criterion 7 {record['criterion7']}", file=sys.stderr)
         return record
 
-    with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
+    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
         records = list(pool.map(one, SEEDS))
-    result = {"label": args.label, "src": str(src), "seeds": records}
+    result = {"label": args.label, "seeds": records}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
 
 
@@ -192,7 +193,6 @@ def main(argv=None) -> int:
     col = sub.add_parser("column", help="train every seed against one source tree")
     col.add_argument("--src", default=str(ROOT / "src"), help="the src/ to import waveray from")
     col.add_argument("--label", default="change")
-    col.add_argument("--jobs", type=int, default=2)
     col.add_argument("--out", required=True)
     cl = sub.add_parser("claims", help="pair two columns and apply the gate")
     cl.add_argument("first", help="the reference column (b counts its lone passes)")

@@ -11,18 +11,14 @@ once and computes every band the wavelet blocks need in one call and one
 tape node.  Its path prefixes form a tree, stored level by level as one
 stack of maps: the forward pads each level once, symmetrically, for its
 widest filter, and filters all nodes that share a filter with the same
-per-tap multiply-adds.  The backward replays the tape of the equivalent
-chain of single-filter calls node by node, on maps of a lone call's size:
-it sums each value's gradient over its uses in arrival order and hands
-the input and tap gradients to the tape per node, so results and
-gradients equal the chain's bit for bit.  A node's input gradient is
-summed with the filtered axis outermost, so each tap adds whole
-contiguous blocks rather than windows a few elements long; every element
-still gets the same adds in the same order.  A tap's gradient is the
-pairwise sum of the product in the chain's own C order, because its bits
-depend on that order.  Symmetric padding keeps a
-constant map constant under an averaging filter right up to the borders,
-which the zero-padded general convolution cannot do.
+per-tap multiply-adds.  The backward is that forward's adjoint, run from
+the deepest level up: per level and filter, it scatters the filter's
+slice of the gradient stack onto the padded parents, with the filtered
+axis first so that each tap adds whole blocks, and forms the filter's tap
+gradients from one matmul; per level, it folds the mirrored border back
+once.  Symmetric padding keeps a constant map constant under an averaging
+filter right up to the borders, which the zero-padded general convolution
+cannot do.
 
 The two channel-mixing kernels call ``np.matmul`` directly, in the operand
 order and memory layout that numpy's ``einsum(..., optimize=True)`` uses for
@@ -152,10 +148,6 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
     return _record_op(out, (x, weight, bias) if has_bias else (x, weight), bw)
 
 
-# a map's axis order with the given axis first, and the order that undoes it
-_AXIS_FIRST = {2: ((2, 0, 1, 3), (1, 2, 0, 3)), 3: ((3, 0, 1, 2), (1, 2, 3, 0))}
-
-
 def _pad_extents(k: int, stride: int) -> tuple[int, int]:
     """Padding before and after a k-tap filter: ``k - stride`` in all, left-heavy."""
     return (k - stride + 1) // 2, (k - stride) // 2
@@ -191,12 +183,8 @@ def _bank_plan(lengths: tuple, axes: tuple, stride: int, rounds: int, bands) -> 
     """Lay out the prefix tree of the bands' paths as one node stack per level.
 
     A node is a path prefix; its parent is the prefix one filter shorter,
-    and the input is the root ``()``.  Returns ``(order, levels, where,
-    leaves)``:
+    and the input is the root ``()``.  Returns ``(levels, where, leaves)``:
 
-    - ``order``: the nodes in the record order of the equivalent chain of
-      single-filter calls: the first round level by level in lexicographic
-      order, then each later round path by path;
     - ``levels``: per level, the axis of the (node, N, C, H, W) stack, its
       shared padding (the widest filter's) and, per filter, the filter, its
       nodes' parents (a slice where evenly spaced) and the slice of the
@@ -214,8 +202,6 @@ def _bank_plan(lengths: tuple, axes: tuple, stride: int, rounds: int, bands) -> 
         raise ShapeError(f"bands must list paths of {len(axes)} indices into a bank of "
                          f"{len(lengths)}, got {bands}")
     paths = sorted({p * rounds for band in bands for p in band})
-    first = [q for n in range(1, len(axes) + 1) for q in sorted({p[:n] for p in paths})]
-    chains = [p[:n] for p in paths for n in range(len(axes) + 1, len(axes) * rounds + 1)]
     levels = []
     where = {(): (-1, 0)}
     for n in range(1, len(axes) * rounds + 1):
@@ -230,7 +216,7 @@ def _bank_plan(lengths: tuple, axes: tuple, stride: int, rounds: int, bands) -> 
                        max(a for _, a in pads), tuple(filters)))
         where.update((q, (n - 1, i)) for i, q in enumerate(nodes))
     leaves = tuple(tuple(p * rounds for p in band) for band in bands)
-    return tuple(first + chains), tuple(levels), where, leaves
+    return tuple(levels), where, leaves
 
 
 def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> Tensor:
@@ -250,19 +236,16 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
     (left-heavy when odd), so stride 1 preserves the extent and stride 2
     exactly halves an even extent.  Each level of the path tree is padded
     once, for its longest filter, and shorter filters read a slice of that
-    pad.  The whole bank is one tape node, whose backward replays the tape
-    of the equivalent chain: single-filter calls, each band's sum as a left
-    fold of adds, then a concat of the bands.  Outputs and gradients are
-    bit-identical to that chain's.
+    pad.  The whole bank is one tape node over ``x`` and the bank's tensors.
 
-    Per node, the backward transposes the output gradient once so the
-    filtered axis comes first, adds each tap's share into a zeroed padded
-    buffer as whole row blocks, folds the mirrored border back the same
-    way and transposes back once: each element gets the same adds, in the
-    same order, as strided windows over the NCHW map would give it.  Each tap's
-    gradient is ``np.add.reduce`` over the C-ordered product of the
-    gradient and the tap's window, the pairwise sum ``np.sum`` makes of
-    it, since another order would round differently.
+    The backward mirrors the forward from the deepest level up.  Per level
+    it moves the filtered axis of the gradient stack first and, per filter,
+    adds ``taps[t]`` times the filter's slice of it onto the padded parents
+    as whole blocks; then it folds the mirrored border back onto its
+    sources.  A filter's tap gradients come from one product of its
+    gradient slice, (out, rest), and its padded parents, (padded, rest):
+    tap ``t``'s gradient is the sum of the product's entries at
+    ``(j, off + j * stride + t)``.
     """
     x = _as_tensor(x)
     bank = (taps,) if isinstance(taps, (Tensor, np.ndarray)) else tuple(taps)
@@ -280,13 +263,12 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
         raise ShapeError(f"rounds must be at least 1, got {rounds}")
     if bands is not None:
         bands = tuple(tuple(tuple(int(i) for i in p) for p in band) for band in bands)
-    order, levels, where, leaves = _bank_plan(tuple(t.size for t in bank), axes, stride, rounds,
-                                              bands)
+    levels, where, leaves = _bank_plan(tuple(t.size for t in bank), axes, stride, rounds, bands)
     tap_vals = [t.data for t in bank]
     dtype = np.result_type(x.data, *tap_vals)
 
     stack = x.data[None]  # (node, N, C, H, W): one node per path prefix
-    saved = []  # per level: the padded parent stack, one node's axis, shared pad, extent
+    padded_stacks = []  # per level, what the backward reads of the forward
     for axis_, before, after, filters in levels:
         length = stack.shape[axis_]
         if before > length or after > length:
@@ -304,7 +286,7 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
             np.multiply(taps_f[0], xs[windows[0]], out=dest)
             for t in range(1, taps_f.size):
                 dest += taps_f[t] * xs[windows[t]]
-        saved.append((xp, axis_ - 1, before, length))
+        padded_stacks.append(xp)
 
     n, c = x.shape[:2]
     out = np.empty((n, len(leaves), c) + stack.shape[3:], dtype=dtype)
@@ -314,49 +296,35 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
 
     def bw(g):
         g5 = g.reshape(n, len(leaves), c, *g.shape[2:])
-        grads = {}
-
-        def arrive(q, gq):  # the tape's rule: the first use's gradient, then acc + g
-            grads[q] = gq if q not in grads else grads[q] + gq
-
-        # the chain's concat hands out the bands in order; its adds then run last
-        # band first, and a fold t0 + t1 + t2 reaches t2 before t0 and t1
+        gstack = np.zeros(shape, dtype=g.dtype)  # the last level's stack
         for b, band in enumerate(leaves):
-            if len(band) == 1:
-                arrive(band[0], g5[:, b])
-        for b in reversed(range(len(leaves))):
-            if len(leaves[b]) > 1:
-                for q in leaves[b][:1:-1] + leaves[b][:2]:
-                    arrive(q, g5[:, b])
-        input_grads = []
-        for q in reversed(order):
-            xp, ax, shared_before, length = saved[where[q][0]]
-            xs, gg, taps_f = xp[where[q[:-1]][1]], grads.pop(q), tap_vals[q[-1]]
-            k, out_len = taps_f.size, gg.shape[ax]
-            before, after = _pad_extents(k, stride)
-            # node by node: the tap sums reduce the chain's arrays, and maps stay cache-sized
-            reads = _windows(ax, shared_before - before, k, out_len, stride)
-            gtaps = np.empty(k, dtype=taps_f.dtype)
-            for t in range(k):  # numpy's pairwise sum of the C-ordered product, as np.sum
-                gtaps[t] = np.add.reduce((gg * xs[reads[t]]).reshape(-1))
-            # the filtered axis first: each output row scatters onto whole padded rows
-            first, back = _AXIS_FIRST[ax]
-            g_first = np.ascontiguousarray(gg.transpose(first))
-            gxp = np.zeros((length + before + after,) + g_first.shape[1:], dtype=xp.dtype)
+            for q in band:
+                gstack[where[q][1]] += g5[:, b]
+        gbank = [np.zeros_like(t) for t in tap_vals]
+        for (axis_, before, after, filters), xp in zip(levels[::-1], padded_stacks[::-1]):
+            # the filtered axis first, then node, then the rest: each tap adds whole blocks
+            gf = np.moveaxis(gstack, axis_, 0)
+            out_len, padded = gf.shape[0], xp.shape[axis_]
+            gf = np.ascontiguousarray(gf).reshape(out_len, gf.shape[1], -1)
+            xf = np.moveaxis(xp, axis_, 0).reshape(padded, xp.shape[0], -1)
+            gxp = np.zeros(xf.shape, dtype=gf.dtype)
             span = stride * (out_len - 1) + 1
-            for t in range(k):
-                gxp[t : t + span : stride] += taps_f[t] * g_first
-            # fold the mirrored border back onto its sources, before's rows then after's
-            end = before + length
+            for f, parents, nodes in filters:
+                taps_f, g_f = tap_vals[f], gf[:, nodes]
+                off = before - _pad_extents(taps_f.size, stride)[0]
+                # row j of the product pairs output j with every padded position;
+                # tap t's gradient is the sum of its entries at off + j * stride + t
+                prod = g_f.reshape(out_len, -1) @ xf[:, parents].reshape(padded, -1).T
+                diag = sliding_window_view(prod.reshape(-1), taps_f.size)[off :: padded + stride]
+                gbank[f] += diag.sum(axis=0)
+                for t in range(taps_f.size):
+                    gxp[off + t : off + t + span : stride, parents] += taps_f[t] * g_f
+            # fold the mirrored border back onto its sources
+            end = padded - after
             gxp[before : 2 * before][::-1] += gxp[:before]
             gxp[end - after : end][::-1] += gxp[end:]
-            gx = np.ascontiguousarray(gxp[before:end].transpose(back))
-            if len(q) > 1:
-                arrive(q[:-1], gx)
-                input_grads.append(gtaps)
-            else:  # the input's gradient goes to the tape, which sums its uses
-                input_grads += [gx, gtaps]
-        return tuple(input_grads)
+            rest = xp.shape[:axis_] + xp.shape[axis_ + 1 :]
+            gstack = np.moveaxis(gxp[before:end].reshape((end - before,) + rest), 0, axis_)
+        return (np.ascontiguousarray(gstack[0]), *gbank)
 
-    inputs = [(x, bank[q[-1]]) if len(q) == 1 else (bank[q[-1]],) for q in reversed(order)]
-    return _record_op(out, sum(inputs, ()), bw)
+    return _record_op(out, (x, *bank), bw)

@@ -226,7 +226,12 @@ def _desk_step(batch):
 
 class TestBandNode:
     @pytest.mark.parametrize("batch", [1, 4])
-    def test_step_is_bit_identical_to_single_filter_chain(self, batch, monkeypatch):
+    def test_step_matches_single_filter_chain(self, batch, monkeypatch):
+        """The loss equals the chain's bit for bit; each gradient matches the
+        chain's to 1e-5 of the model's largest gradient entry, since the band
+        backward sums in another order.  The scale is the model's, not each
+        array's: by symmetry the 2x2 field's ``beta`` gradient is zero up to
+        rounding, about 1e-13 on either side."""
         loss, params, _ = _desk_step(batch)
         monkeypatch.setattr(ExtractStage, "forward", _chain_extract_forward)
         monkeypatch.setattr(ModulationBlock, "context", _chain_context)
@@ -234,8 +239,9 @@ class TestBandNode:
         want_loss, want, _ = _desk_step(batch)
         assert params[next(iter(params))].dtype == np.float32
         assert np.array_equal(loss.data, want_loss.data)
+        largest = max(np.abs(p.grad).max() for p in want.values())
         for name, p in params.items():
-            assert np.array_equal(p.grad, want[name].grad), name
+            assert np.abs(p.grad - want[name].grad).max() <= 1e-5 * largest, name
 
     def test_wave_decompose_matches_single_filter_chain(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 8, 8)))
@@ -252,6 +258,16 @@ class TestBandNode:
             block.context(h)
         kinds = [n.backward.fn.__qualname__.split(".")[0] for n in tape.nodes]
         assert kinds == ["pointwise_conv", "sep_conv1d"]
+
+    def test_band_node_holds_the_input_and_the_bank(self, rng):
+        """The node of a rounds-2 context reads its input once and each bank
+        tensor once, with one gradient each."""
+        block = ModulationBlock(8, rng)
+        h = Tensor(rng.normal(size=(2, 8, 4, 4)), requires_grad=True)
+        with Tape() as tape:
+            block.context(h)
+        narrow, band = tape.nodes
+        assert band.inputs == (narrow.out, block.filters.low, block.filters.high)
 
     def test_desk_step_records_at_most_160_nodes(self):
         assert _desk_step(2)[2] <= 160

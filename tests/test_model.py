@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import waveray
 from waveray import rays
 from waveray.autodiff import Tape, Tensor, backward
 from waveray.backbone import BackboneConfig
@@ -417,6 +422,33 @@ class TestClassifier:
                     assert id(held) in params and held.requires_grad, rule.__qualname__
                 else:
                     assert held is None or isinstance(held, int), rule.__qualname__
+
+    def test_desk_gradients_do_not_depend_on_the_blas_thread_count(self):
+        """One desk rays-3 batch-64 float32 step, in a fresh process at one and
+        at two BLAS threads: the gradient digests are equal."""
+        step = "\n".join([
+            "import hashlib, numpy as np",
+            "from waveray.autodiff import Tape, backward",
+            "from waveray.model import WaveletClassifier, cross_entropy, desk_config",
+            "model = WaveletClassifier(desk_config(rays=3), seed=0)",
+            "gen = np.random.default_rng(0)",
+            "images = gen.normal(0.5, 0.25, size=(64, 3, 32, 32)).astype(np.float32)",
+            "with Tape() as tape:",
+            "    loss = cross_entropy(model.forward(images), gen.integers(0, 3, size=64))",
+            "backward(loss, tape)",
+            "h = hashlib.blake2b(digest_size=8)",
+            "for name, p in model.parameters().items():",
+            "    h.update(name.encode() + p.grad.tobytes())",
+            "print(h.hexdigest())",
+        ])
+        src = str(Path(waveray.__file__).resolve().parent.parent)
+        digests = [
+            subprocess.run([sys.executable, "-c", step], check=True, capture_output=True,
+                           text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                               PYTHONPATH=src)).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(digests[0]) == 17 and digests[0] == digests[1]
 
 
 @pytest.fixture
