@@ -18,7 +18,9 @@ and the stdout of ``param-count --table1 --rays 3 --classes 10`` plus
 ``eval`` of the rays-3 run, with eval's ``images_per_second`` column dropped.  Two lines
 digest the batch-1 logits of every image of the set under the rays-3 and the
 shared-field final checkpoints, where repeated untaped forwards reuse the ray
-maps.  Three digest the stdout of ``gradcheck --scope block --seed 0``, where
+maps.  One more digests the logits of the whole set (48 images) in one
+untaped forward under the rays-3 checkpoint, where the stem lowers a few
+images at a time.  Three digest the stdout of ``gradcheck --scope block --seed 0``, where
 finite differences edit the field arrays in place between forwards, of
 ``gradcheck --scope op --seed 0`` and of ``gradcheck --scope model --seed 0``,
 the whole classifier's probe.  Three lines digest every parameter's
@@ -29,7 +31,9 @@ checkpoints.  A fourth digests the float32 rays-3 gradients summed over two
 such passes, each on its own batch and tape with no clearing in between:
 the way to accumulate gradients, since a tape takes one backward.  One
 more digests the gradients of one float32 step of ``table1_config(rays=3)``
-at batch 1, so backward rules are checked at paper-scale shapes too.  The
+at batch 1, so backward rules are checked at paper-scale shapes too, and
+one the untaped logits of ``table1_config(rays=0, classes=10)`` on three
+seeded 224x224 images, where the stem lowers one image at a time.  The
 last two lines are made from two AdamW steps over the
 ``table1_config(rays=0)`` parameters with seeded gradients.  The whole desk
 model (35,206 parameters) is smaller than one block of the optimizer's
@@ -123,15 +127,26 @@ def load_digest(checkpoint: Path) -> str:
     return h.hexdigest()
 
 
-def logits_digest(checkpoint: Path, data: Path) -> str:
-    """Digest of the logits of one-image forwards over the whole set, in order."""
+def logits_digest(checkpoint: Path, data: Path, batched: bool = False) -> str:
+    """Digest of the logits of one-image forwards over the whole set, in
+    order, or with ``batched`` of one forward of the whole set at once."""
     state = load_checkpoint(checkpoint)
     model = WaveletClassifier(ModelConfig.from_dict(state.model_config), seed=0)
     model.load_state(state.params)
+    images = load_dataset(data, classes=model.config.classes).images
     h = hashlib.blake2b(digest_size=8)
-    for image in load_dataset(data, classes=model.config.classes).images:
-        h.update(model.forward(Tensor(image[None])).data.tobytes())
+    for batch in [images] if batched else images[:, None]:
+        h.update(model.forward(Tensor(batch)).data.tobytes())
     return h.hexdigest()
+
+
+def table1_logits_digest() -> str:
+    """Digest of the untaped logits of ``table1_config(rays=0, classes=10)``
+    at seed 0 on three seeded 224x224 images, in one forward."""
+    config = table1_config(rays=0, classes=10)
+    images = np.random.default_rng(0).normal(size=(3, 3, 224, 224)).astype(np.float32)
+    logits = WaveletClassifier(config, seed=0).forward(Tensor(images)).data
+    return digest(logits.tobytes())
 
 
 def grads_digest(config: ModelConfig, dtype, batch: int = 64, passes: int = 1) -> str:
@@ -212,6 +227,8 @@ def digest_lines() -> list:
         for name in ("rays3", "rays3-shared"):
             checkpoint = root / name / "checkpoint_final.wrnc"
             lines.append(f"{logits_digest(checkpoint, data)}  logits/{name}")
+        whole = logits_digest(root / "rays3" / "checkpoint_final.wrnc", data, batched=True)
+        lines.append(f"{whole}  logits/rays3-whole-set")
         for scope in ("block", "op", "model"):
             gradcheck = run(["gradcheck", "--scope", scope, "--seed", "0"])
             lines.append(f"{digest(gradcheck.encode())}  stdout/gradcheck-{scope}")
@@ -222,6 +239,7 @@ def digest_lines() -> list:
     lines.append(f"{summed}  grads/desk-rays3-batch64-float32-2passes")
     table1 = grads_digest(table1_config(rays=3), np.float32, batch=1)
     lines.append(f"{table1}  grads/table1-rays3-batch1-float32")
+    lines.append(f"{table1_logits_digest()}  logits/table1-rays0-batch3")
     lines += table1_optimizer_lines()
     return lines
 

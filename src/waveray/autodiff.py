@@ -271,11 +271,17 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x))
 
 
+def _records(inputs: tuple) -> bool:
+    """Whether an op over ``inputs`` appends a node: some input requires a
+    gradient and a tape is active.  An op that will not keeps no array
+    that only its backward would read."""
+    return bool(_TAPES) and any(t.requires_grad for t in inputs)
+
+
 def _record_op(out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor._from_op(np.asarray(out_data), requires)
-    tape = active_tape()
-    if requires and tape is not None:
+    out = Tensor._from_op(np.asarray(out_data), any(t.requires_grad for t in inputs))
+    if _records(inputs):
+        tape = _TAPES[-1]
         keys = tape.keys
         held = tuple(t._key if t._key in keys else t if t.requires_grad else None
                      for t in inputs)
@@ -532,7 +538,7 @@ def gelu(x) -> Tensor:
     cdf = 0.5 * (1.0 + _erf(d * _INV_SQRT2))
     out = d * cdf
     slope = None
-    if x.requires_grad and active_tape() is not None:
+    if _records((x,)):
         slope = cdf + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI)
 
     def bw(g):
@@ -545,7 +551,11 @@ def layer_norm(x, gain, shift) -> Tensor:
     """Normalize over the channel axis of an NCHW tensor, then scale/shift.
 
     Statistics are per (sample, row, column) position; ``gain`` and
-    ``shift`` are per-channel vectors.
+    ``shift`` are per-channel vectors.  The input is centred into the array
+    that becomes the normalized ``xhat``, which is then scaled in place.  A
+    recorded node keeps ``xhat`` for its backward; an unrecorded one writes
+    its output over ``xhat`` (unless a float64 gain or shift widens a
+    float32 input), so it holds two maps besides its input at its peak.
     """
     x, gain, shift = _as_tensor(x), _as_tensor(gain), _as_tensor(shift)
     if x.ndim != 4:
@@ -559,12 +569,14 @@ def layer_norm(x, gain, shift) -> Tensor:
     # wrapper: mean divides by an intp count in float64 and rounds, which
     # for a float32 quotient gives the same bits as dividing in float32.
     mu = np.add.reduce(x.data, axis=1, keepdims=True) / c
-    centered = x.data - mu
-    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / c
+    xhat = x.data - mu  # centred here, normalized in place below
+    var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / c
     invstd = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * invstd
-    gcol = gain.data.reshape(1, c, 1, 1)
-    out = xhat * gcol + shift.data.reshape(1, c, 1, 1)
+    xhat *= invstd
+    gcol, scol = gain.data.reshape(1, c, 1, 1), shift.data.reshape(1, c, 1, 1)
+    wide = np.result_type(xhat, gcol, scol) != xhat.dtype  # float64 gain or shift on float32
+    out = np.multiply(xhat, gcol, out=None if wide or _records((x, gain, shift)) else xhat)
+    out = out + scol if wide else np.add(out, scol, out=out)
 
     def bw(g):
         gxhat = g * gcol

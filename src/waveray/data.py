@@ -139,6 +139,10 @@ def read_manifest(manifest_path) -> tuple[Path, list]:
 def load_dataset(manifest_path, classes: int = None) -> Dataset:
     """Load every image of a manifest into one array.
 
+    The array is allocated once the first image gives the extent, and each
+    decoded image is written into its row, so the load holds one copy of
+    the set plus one image.
+
     With ``classes`` given, labels must lie in [0, classes); otherwise the
     class count is inferred and every label value up to the maximum has to
     appear at least once.
@@ -160,20 +164,19 @@ def load_dataset(manifest_path, classes: int = None) -> Dataset:
             raise DataError(f"labels are not dense: missing {missing}")
         classes = int(labels.max()) + 1
 
-    images = []
-    extent = None
-    for rel, _ in entries:
+    images = None  # allocated once the first image gives the extent
+    for i, (rel, _) in enumerate(entries):
         img = read_image(root / rel)
         if img.shape[1] != img.shape[2]:
             raise DataError(f"{rel}: images must be square, got {img.shape[1]}x{img.shape[2]}")
-        if extent is None:
-            extent = img.shape[1]
-        elif img.shape[1] != extent:
+        if images is None:
+            images = np.empty((len(entries),) + img.shape, dtype=img.dtype)
+        elif img.shape != images.shape[1:]:
             raise DataError(
-                f"{rel}: extent {img.shape[1]} differs from the first image's {extent}"
+                f"{rel}: extent {img.shape[1]} differs from the first image's {images.shape[2]}"
             )
-        images.append(img)
-    return Dataset(np.stack(images), labels, [f"class{i}" for i in range(classes)])
+        images[i] = img
+    return Dataset(images, labels, [f"class{i}" for i in range(classes)])
 
 
 # ---------------------------------------------------------------------------

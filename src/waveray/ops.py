@@ -32,18 +32,33 @@ last bit differently.
 
 The general convolution forms no gradient for an input that needs none,
 such as the images under the stem: its backward returns ``None`` there.
+Its patch matrix is whole only for a recorded node, whose backward reuses
+it.  With no node to record (serving, evaluation), it lowers and multiplies
+a block of samples at a time into the preallocated output, so the patches,
+k*k times the input, never exist for the whole batch at once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tensor, _as_tensor, _record_op
+from .autodiff import Tensor, _as_tensor, _record_op, _records
 from .errors import ShapeError
+
+# An unrecorded conv2d lowers a block of samples at a time: at most
+# _PATCH_BYTES of patches, unless the fewest samples whose output columns
+# fill a multiple of _COLUMNS take more.  BLAS computes a GEMM's trailing
+# columns with narrower kernels that may round differently, so a block
+# boundary must fall where the whole GEMM's tiles do.  On OpenBLAS 0.3.31
+# (x86-64, AVX-512), splits at multiples of 64 columns kept every bit over
+# a grid of conv shapes at 1 and 2 threads; splits at multiples of 16 did not.
+_PATCH_BYTES = 1 << 20
+_COLUMNS = 64
 
 
 def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
@@ -52,6 +67,11 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
     ``x`` is NCHW, ``kernel`` is (C_out, C_in/groups, kh, kw).  Output
     extents follow floor((extent + 2*pad - k) / stride) + 1.  When ``x``
     needs no gradient, as the images do, the backward forms none for it.
+
+    A recorded node lowers the whole batch into one patch matrix, which its
+    backward reuses.  An unrecorded one lowers a block of samples at a time
+    (see ``_PATCH_BYTES``) and writes each block's product into the output;
+    the blocks' products have the whole product's bits.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -79,12 +99,23 @@ def conv2d(x, kernel, stride=(1, 1), padding=(0, 0), groups: int = 1) -> Tensor:
         xp[:, :, ph : ph + h, pw : pw + w] = x.data
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     cout_g = cout // groups
-    # (groups, cin_g*kh*kw, n*ho*wo) in C order, as einsum copied it; backward reuses it
-    patches = np.ascontiguousarray(
-        win.reshape(n, groups, cin_g, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
-    ).reshape(groups, cin_g * kh * kw, n * ho * wo)
     kg = kernel.data.reshape(groups, cout_g, cin_g * kh * kw)
-    out = np.matmul(kg, patches).reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
+    out = np.empty((n, cout, ho, wo), dtype=np.result_type(kg, xp))
+    if _records((x, kernel)) or cout_g == 1:
+        # the backward reuses the whole batch's patches; BLAS splits a
+        # matrix-vector product (one output channel per group) its own way
+        per = max(n, 1)
+    else:
+        q = _COLUMNS // math.gcd(ho * wo, _COLUMNS)  # the fewest samples that align
+        per = max(q, _PATCH_BYTES // (c * kh * kw * ho * wo * xp.itemsize) // q * q)
+    for s in range(0, max(n, 1), per):  # an empty batch runs once: the backward reads it
+        m = min(per, n - s)
+        patches = None  # let the previous block go before this one is formed
+        # (groups, cin_g*kh*kw, m*ho*wo) in C order, as einsum copied it
+        patches = np.ascontiguousarray(
+            win[s : s + m].reshape(m, groups, cin_g, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
+        ).reshape(groups, cin_g * kh * kw, m * ho * wo)
+        out[s : s + m] = np.matmul(kg, patches).reshape(cout, m, ho, wo).transpose(1, 0, 2, 3)
     x_requires, k_shape, xp_shape, dtype = x.requires_grad, kernel.shape, xp.shape, xp.dtype
 
     def bw(g):

@@ -332,6 +332,48 @@ class TestLayerNormPool:
         with pytest.raises(ShapeError):
             ad.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
+    @staticmethod
+    def _layer_norm_reference(x, gain, shift, g):
+        """The normalization and its backward, written out-of-place as plain
+        numpy: the output and the gradients of x, gain and shift."""
+        c = x.shape[1]
+        mu = np.add.reduce(x, axis=1, keepdims=True) / c
+        centered = x - mu
+        var = np.add.reduce(centered * centered, axis=1, keepdims=True) / c
+        invstd = 1.0 / np.sqrt(var + 1e-5)
+        xhat = centered * invstd
+        gcol = gain.reshape(1, c, 1, 1)
+        out = xhat * gcol + shift.reshape(1, c, 1, 1)
+        gxhat = g * gcol
+        m1 = gxhat.mean(axis=1, keepdims=True)
+        m2 = (gxhat * xhat).mean(axis=1, keepdims=True)
+        gx = invstd * (gxhat - m1 - xhat * m2)
+        return out, gx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+    @pytest.mark.parametrize("dtype, param_dtype", [(np.float32, np.float32),
+                                                    (np.float64, np.float64),
+                                                    (np.float32, np.float64)])
+    def test_layer_norm_unrecorded_equals_recorded(self, rng, dtype, param_dtype):
+        """The output written over xhat (no node recorded) has the bits of the
+        recorded output, and both have the out-of-place reference's bits and
+        dtype; the recorded backward's gradients are the reference's too."""
+        x = rng.normal(1.0, 2.0, size=(3, 12, 5, 6)).astype(dtype)
+        gain = rng.normal(size=12).astype(param_dtype)
+        shift = rng.normal(size=12).astype(param_dtype)
+        g = rng.normal(size=x.shape).astype(np.result_type(dtype, param_dtype))
+        want, want_gx, want_gg, want_gs = self._layer_norm_reference(x, gain, shift, g)
+        untaped = ad.layer_norm(Tensor(x), Tensor(gain, requires_grad=True), Tensor(shift)).data
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gain, shift)]
+        with Tape() as tape:
+            out = ad.layer_norm(*leaves)
+            loss = ad.reduce_sum(ad.mul(out, Tensor(g)))
+        backward(loss, tape)
+        assert untaped.dtype == out.data.dtype == want.dtype
+        assert np.array_equal(untaped, out.data)
+        assert np.array_equal(out.data, want)
+        for leaf, grad in zip(leaves, (want_gx, want_gg, want_gs)):
+            assert np.array_equal(leaf.grad, grad)
+
     def test_global_avg_pool_values(self, rng):
         x = rng.normal(size=(2, 3, 4, 5))
         out = ad.global_avg_pool(Tensor(x.astype(np.float32)))

@@ -1,5 +1,7 @@
 """Image codecs, manifests and the synthetic shape generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,21 @@ class TestLoadDataset:
         (tmp_path / "manifest.csv").write_text("path,label\na.ppm,0\n")
         with pytest.raises(DataError, match="square"):
             load_dataset(tmp_path)
+
+    def test_load_holds_one_copy_of_the_set(self, tmp_path):
+        """Loading 64 synthetic 32x32 images traces 1.06x the final array at
+        its peak: each image goes straight into its row (stacking a list of
+        decoded images took about 2x)."""
+        manifest = synth_generate(SyntheticSpec(classes=2, per_class=32), tmp_path / "set")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = load_dataset(manifest)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ds.images.shape == (64, 3, 32, 32) and ds.images.dtype == np.float32
+        assert peak <= 1.25 * ds.images.nbytes, f"peak {peak / ds.images.nbytes:.2f}x the array"
 
 
 class TestSyntheticSpec:

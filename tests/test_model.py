@@ -392,6 +392,23 @@ class TestClassifier:
         assert len(tape) == 142 and loss.requires_grad
         assert kept <= 20 * 2**20, f"{kept / 2**20:.2f} MiB traced after the forward"
 
+    def test_untaped_forward_holds_only_live_activations(self):
+        """An untaped desk rays-3 batch-64 float32 forward traces 2.7 MiB above
+        its input at its peak; lowering the stem's whole batch at once and
+        keeping LayerNorm's temporaries took 11.25 MiB."""
+        model = WaveletClassifier(desk_config(rays=3), seed=0)
+        images = np.random.default_rng(0).normal(size=(64, 3, 32, 32)).astype(np.float32)
+        model.forward(images[:1])  # fills the ray-map memo, which then stays
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            logits = model.forward(images)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (64, 3)
+        assert peak <= 5 * 2**20, f"{peak / 2**20:.2f} MiB traced at the peak"
+
     def test_nodes_hold_keys_and_parameters_not_tensors(self):
         """No backward rule's closure holds a Tensor, not even in a list, tuple
         or dict, and a node holds a Tensor only for a parameter, a leaf that

@@ -255,6 +255,63 @@ class TestConv2dOracle:
             assert abs(num - gflat[idx]) / max(abs(num), 1e-8) < 1e-6
 
 
+class TestConv2dUnrecorded:
+    """With no node to record, conv2d lowers a block of samples at a time
+    (at most 1 MiB of patches, and a whole multiple of 64 output columns);
+    a recorded node lowers the whole batch for its backward.  The blocks'
+    GEMMs round as the whole batch's does."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("groups", [1, 3, 6])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_untaped_equals_recorded(self, dtype, n, groups, stride, padding):
+        # 6x24x24 inputs and 5x5 kernels: float32 blocks hold 3, 4, 12 or 16
+        # samples (stride, padding), so batches 7 and 64 take several blocks;
+        # at groups 6, one output channel per group, the whole batch is one block
+        gen = np.random.default_rng(n + 10 * groups + 100 * stride + padding)
+        x = gen.normal(size=(n, 6, 24, 24)).astype(dtype)
+        k = Tensor(gen.normal(size=(6, 6 // groups, 5, 5)).astype(dtype), requires_grad=True)
+        args = ((stride, stride), (padding, padding), groups)
+        untaped = conv2d(x, k, *args).data
+        with Tape() as tape:
+            recorded = conv2d(x, k, *args)
+        assert len(tape) == 1
+        assert untaped.dtype == recorded.dtype == dtype
+        assert np.array_equal(untaped, recorded.data)
+
+    def test_blocks_are_lowered_one_at_a_time(self, monkeypatch):
+        """A float32 desk stem batch of 64 lowers 6 samples (882 KiB of
+        patches) per matmul when untaped, and all 64 in one when recorded."""
+        gen = np.random.default_rng(0)
+        x = gen.normal(size=(64, 3, 32, 32)).astype(np.float32)
+        k = Tensor(gen.normal(size=(8, 3, 7, 7)).astype(np.float32), requires_grad=True)
+        widths = []
+        matmul = np.matmul
+
+        def spy(a, b, *rest, **kwargs):
+            widths.append(b.shape[-1])
+            return matmul(a, b, *rest, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        conv2d(x, k, stride=(2, 2), padding=(3, 3))
+        untaped, widths[:] = widths[:], []
+        with Tape():
+            conv2d(x, k, stride=(2, 2), padding=(3, 3))
+        assert untaped == [6 * 256] * 10 + [4 * 256]
+        assert widths == [64 * 256]
+
+    def test_empty_batch(self):
+        k = Tensor(np.ones((4, 3, 3, 3)), requires_grad=True)
+        x = Tensor(np.ones((0, 3, 8, 8)), requires_grad=True)
+        assert conv2d(x, k, padding=(1, 1)).shape == (0, 4, 8, 8)
+        with Tape() as tape:
+            loss = reduce_sum(conv2d(x, k, padding=(1, 1)))
+        backward(loss, tape)
+        assert np.array_equal(k.grad, np.zeros((4, 3, 3, 3))) and x.grad.shape == (0, 3, 8, 8)
+
+
 class TestPointwiseConv:
     def test_equals_per_pixel_matmul(self, rng):
         x = rng.normal(size=(2, 5, 3, 4))
@@ -599,8 +656,11 @@ class TestEinsumBitIdentity:
         assert np.array_equal(gw, np.einsum("nohw,nchw->oc", gout, x, optimize=True))
         assert np.array_equal(gx, np.einsum("nohw,oc->nchw", gout, w, optimize=True))
 
-    @pytest.mark.parametrize("n, extent, cout", [(1, 32, 8), (64, 32, 8), (1, 224, 32)])
+    @pytest.mark.parametrize("n, extent, cout",
+                             [(1, 32, 8), (64, 32, 8), (1, 224, 32), (2, 224, 32)])
     def test_stem_conv2d(self, n, extent, cout):
+        """The recorded forward and the untaped one, which lowers 6 desk
+        samples or one 224x224 sample at a time, both equal einsum's."""
         gen = np.random.default_rng(n + extent)
         x = gen.normal(size=(n, 3, extent, extent)).astype(np.float32)
         k = gen.normal(size=(cout, 3, 7, 7)).astype(np.float32)
@@ -608,11 +668,13 @@ class TestEinsumBitIdentity:
         gout = gen.normal(size=(n, cout, ho, ho)).astype(np.float32)
         out, (gx, gk) = pull_back(
             lambda a, b: conv2d(a, b, stride=(2, 2), padding=(3, 3)), (x, k), gout)
+        untaped = conv2d(x, Tensor(k, requires_grad=True), stride=(2, 2), padding=(3, 3)).data
         xp = np.pad(x, ((0, 0), (0, 0), (3, 3), (3, 3)))
         win = sliding_window_view(xp, (7, 7), axis=(2, 3))[:, :, ::2, ::2][:, None]
         kg, gg = k[None], gout[:, None]
         want = np.einsum("ngihwkl,goikl->ngohw", win, kg, optimize=True)
         assert np.array_equal(out, want[:, 0])
+        assert np.array_equal(untaped, want[:, 0])
         want_gk = np.einsum("ngohw,ngihwkl->goikl", gg, win, optimize=True)
         assert np.array_equal(gk, want_gk[0])
         gwin = np.einsum("ngohw,goikl->ngihwkl", gg, kg, optimize=True)[:, 0]
