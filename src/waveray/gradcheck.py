@@ -147,9 +147,10 @@ def _probe_sep_conv1d(rng):
     high = Tensor(rng.normal(size=5), requires_grad=True)
 
     def run():
-        # both filters over both axes, then the other axis order, stride 2 and summed bands
+        # one round and two (the modulation context), then stride 2 and summed bands
         a = ops.sep_conv1d(x, (low, high), axis=(3, 2), stride=1)
-        return ops.sep_conv1d(a, (low, high), axis=(2, 3), stride=2, bands=PAIRS)
+        b = ops.sep_conv1d(x, (low, high), axis=(3, 2), stride=1, rounds=2)
+        return ops.sep_conv1d(ad.add(a, b), (low, high), axis=(2, 3), stride=2, bands=PAIRS)
 
     return run, {"x": x, "low": low, "high": high}
 

@@ -9,16 +9,14 @@ blocks).
 The filter bank takes several tap vectors and several spatial axes at
 once and computes every band the wavelet blocks need in one call and one
 tape node.  Its path prefixes form a tree, stored level by level as one
-stack of maps: the forward pads each level once, symmetrically, for its
-widest filter, and filters all nodes that share a filter with the same
-per-tap multiply-adds.  The backward is that forward's adjoint, run from
-the deepest level up: per level and filter, it scatters the filter's
-slice of the gradient stack onto the padded parents, with the filtered
-axis first so that each tap adds whole blocks, and forms the filter's tap
-gradients from one matmul; per level, it folds the mirrored border back
-once.  Symmetric padding keeps a constant map constant under an averaging
-filter right up to the borders, which the zero-padded general convolution
-cannot do.
+stack of maps.  A filter along an axis is a band matrix with the mirrored
+border folded in (lowering a convolution to a matrix product, as in
+Chellapilla, Puri & Simard, "High Performance Convolutional Neural
+Networks for Document Processing", 2006), so each level runs one matmul
+per filter, and so does its backward, from the deepest level up.
+Symmetric padding keeps a constant map constant under an averaging filter
+right up to the borders, which the zero-padded general convolution cannot
+do.
 
 The two channel-mixing kernels call ``np.matmul`` directly, in the operand
 order and memory layout that numpy's ``einsum(..., optimize=True)`` uses for
@@ -179,26 +177,28 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
     return _record_op(out, (x, weight, bias) if has_bias else (x, weight), bw)
 
 
-def _pad_extents(k: int, stride: int) -> tuple[int, int]:
-    """Padding before and after a k-tap filter: ``k - stride`` in all, left-heavy."""
-    return (k - stride + 1) // 2, (k - stride) // 2
-
-
 @functools.lru_cache(maxsize=None)
-def _windows(axis: int, start: int, count: int, out_len: int, stride: int) -> tuple:
-    """Index tuples of ``count`` strided windows along ``axis``, the first at ``start``."""
-    lead = (slice(None),) * axis
-    span = stride * (out_len - 1) + 1
-    return tuple(lead + (slice(start + t, start + t + span, stride),) for t in range(count))
+def _band_basis(length: int, k: int, stride: int) -> np.ndarray:
+    """The (k, out * length) counts that turn k taps into a band matrix.
 
-
-@functools.lru_cache(maxsize=None)
-def _mirror_index(length: int, before: int, after: int) -> np.ndarray:
-    idx = np.concatenate(
-        [np.arange(before)[::-1], np.arange(length), length - 1 - np.arange(after)]
-    )
-    idx.setflags(write=False)  # shared by every call through the cache
-    return idx
+    Output ``j`` of a k-tap filter along an axis of ``length`` reads padded
+    position ``j * stride + t`` with tap ``t``; mirrored at the borders,
+    that is one source position.  Row ``t`` marks that source for every
+    output, so ``taps @ basis`` is the flattened (out, length) band matrix,
+    and where a window reads one source twice its entry is both taps' sum.
+    The padding is ``k - stride`` in all, left-heavy; the extent must cover it.
+    """
+    before, after = (k - stride + 1) // 2, (k - stride) // 2
+    if before > length or after > length:
+        raise ShapeError(f"extent {length} too small for symmetric padding ({before}, {after})")
+    out_len = length // stride
+    p = np.arange(out_len) * stride + np.arange(k)[:, None] - before
+    src = np.where(p < 0, -1 - p, np.where(p >= length, 2 * length - 1 - p, p))
+    basis = np.zeros((k, out_len, length))
+    basis[np.arange(k)[:, None], np.arange(out_len), src] = 1.0
+    basis = basis.reshape(k, -1)
+    basis.setflags(write=False)  # shared by every call through the cache
+    return basis
 
 
 def _stack_index(positions: list[int]):
@@ -216,10 +216,10 @@ def _bank_plan(lengths: tuple, axes: tuple, stride: int, rounds: int, bands) -> 
     A node is a path prefix; its parent is the prefix one filter shorter,
     and the input is the root ``()``.  Returns ``(levels, where, leaves)``:
 
-    - ``levels``: per level, the axis of the (node, N, C, H, W) stack, its
-      shared padding (the widest filter's) and, per filter, the filter, its
-      nodes' parents (a slice where evenly spaced) and the slice of the
-      stack its nodes fill.  Nodes are ordered by filter, then by parent;
+    - ``levels``: per level, the axis of the (node, N, C, H, W) stack and,
+      per filter, the filter, its nodes' parents (a slice where evenly
+      spaced) and the slice of the stack its nodes fill.  Nodes are ordered
+      by filter, then by parent;
     - ``where``: each node's level and position in its level's stack;
     - ``leaves``: per band, the leaves it sums, in order.
     """
@@ -242,9 +242,7 @@ def _bank_plan(lengths: tuple, axes: tuple, stride: int, rounds: int, bands) -> 
             mine = [i for i, q in enumerate(nodes) if q[-1] == f]
             parents = _stack_index([where[nodes[i][:-1]][1] for i in mine])
             filters.append((f, parents, slice(mine[0], mine[-1] + 1)))
-        pads = [_pad_extents(lengths[f], stride) for f, _, _ in filters]
-        levels.append((axes[(n - 1) % len(axes)] + 1, max(b for b, _ in pads),
-                       max(a for _, a in pads), tuple(filters)))
+        levels.append((axes[(n - 1) % len(axes)] + 1, tuple(filters)))
         where.update((q, (n - 1, i)) for i, q in enumerate(nodes))
     leaves = tuple(tuple(p * rounds for p in band) for band in bands)
     return tuple(levels), where, leaves
@@ -265,18 +263,21 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
 
     Every pass pads symmetrically (edge-mirrored) by ``len(taps) - stride``
     (left-heavy when odd), so stride 1 preserves the extent and stride 2
-    exactly halves an even extent.  Each level of the path tree is padded
-    once, for its longest filter, and shorter filters read a slice of that
-    pad.  The whole bank is one tape node over ``x`` and the bank's tensors.
+    exactly halves an even extent.  The whole bank is one tape node over
+    ``x`` and the bank's tensors.
 
-    The backward mirrors the forward from the deepest level up.  Per level
-    it moves the filtered axis of the gradient stack first and, per filter,
-    adds ``taps[t]`` times the filter's slice of it onto the padded parents
-    as whole blocks; then it folds the mirrored border back onto its
-    sources.  A filter's tap gradients come from one product of its
-    gradient slice, (out, rest), and its padded parents, (padded, rest):
-    tap ``t``'s gradient is the sum of the product's entries at
-    ``(j, off + j * stride + t)``.
+    A filter along an axis of length L is one (out, L) band matrix ``M``,
+    ``taps @ _band_basis(L, k, stride)``, which folds the mirrored padding
+    in.  Per level of the path tree and per filter, the forward is one
+    matmul of the parents' stack with ``M`` along the filtered axis: one
+    product over all rows along the width, one (out, L) @ (L, W) product
+    per map along the height.  The backward runs from the deepest level up,
+    one product over all maps per level and filter (along the height, with
+    the gradient's height axis moved first): the parents' gradient is
+    ``g @ M`` along the filtered axis, and the tap gradients are the basis
+    contracted with the (out, L) product of the gradient and the parents'
+    stack.  Only a recorded node keeps the level stacks and matrices for
+    its backward.
     """
     x = _as_tensor(x)
     bank = (taps,) if isinstance(taps, (Tensor, np.ndarray)) else tuple(taps)
@@ -297,27 +298,30 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
     levels, where, leaves = _bank_plan(tuple(t.size for t in bank), axes, stride, rounds, bands)
     tap_vals = [t.data for t in bank]
     dtype = np.result_type(x.data, *tap_vals)
+    recorded = _records((x, *bank))
 
-    stack = x.data[None]  # (node, N, C, H, W): one node per path prefix
-    padded_stacks = []  # per level, what the backward reads of the forward
-    for axis_, before, after, filters in levels:
+    stack = np.ascontiguousarray(x.data)[None]  # (node, N, C, H, W): one node per path prefix
+    saved = []  # per level, what the backward reads: the parents' stack and the matrices
+    for axis_, filters in levels:
         length = stack.shape[axis_]
-        if before > length or after > length:
-            raise ShapeError(f"extent {length} too small for symmetric padding ({before}, {after})")
-        xp = stack.take(_mirror_index(length, before, after), axis=axis_)
-        out_len = (length - stride) // stride + 1
+        out_len = length // stride
         shape = list(stack.shape)
         shape[0], shape[axis_] = filters[-1][2].stop, out_len
-        stack = np.empty(shape, dtype=dtype)
+        level = np.empty(shape, dtype=dtype)
+        mats = []
         for f, parents, nodes in filters:
-            taps_f = tap_vals[f]
-            xs, dest = xp[parents], stack[nodes]
-            off = before - _pad_extents(taps_f.size, stride)[0]
-            windows = _windows(axis_, off, taps_f.size, out_len, stride)
-            np.multiply(taps_f[0], xs[windows[0]], out=dest)
-            for t in range(1, taps_f.size):
-                dest += taps_f[t] * xs[windows[t]]
-        padded_stacks.append(xp)
+            # summed in float64, so an entry that sums several taps rounds once
+            m = tap_vals[f] @ _band_basis(length, tap_vals[f].size, stride)
+            m = m.astype(dtype, copy=False).reshape(out_len, length)
+            if axis_ == 4:
+                np.matmul(stack[parents].reshape(-1, length), m.T,
+                          out=level[nodes].reshape(-1, out_len))
+            else:
+                np.matmul(m, stack[parents], out=level[nodes])
+            mats.append(m)
+        if recorded:
+            saved.append((stack, mats))
+        stack = level
 
     n, c = x.shape[:2]
     out = np.empty((n, len(leaves), c) + stack.shape[3:], dtype=dtype)
@@ -332,30 +336,22 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
             for q in band:
                 gstack[where[q][1]] += g5[:, b]
         gbank = [np.zeros_like(t) for t in tap_vals]
-        for (axis_, before, after, filters), xp in zip(levels[::-1], padded_stacks[::-1]):
-            # the filtered axis first, then node, then the rest: each tap adds whole blocks
-            gf = np.moveaxis(gstack, axis_, 0)
-            out_len, padded = gf.shape[0], xp.shape[axis_]
-            gf = np.ascontiguousarray(gf).reshape(out_len, gf.shape[1], -1)
-            xf = np.moveaxis(xp, axis_, 0).reshape(padded, xp.shape[0], -1)
-            gxp = np.zeros(xf.shape, dtype=gf.dtype)
-            span = stride * (out_len - 1) + 1
-            for f, parents, nodes in filters:
-                taps_f, g_f = tap_vals[f], gf[:, nodes]
-                off = before - _pad_extents(taps_f.size, stride)[0]
-                # row j of the product pairs output j with every padded position;
-                # tap t's gradient is the sum of its entries at off + j * stride + t
-                prod = g_f.reshape(out_len, -1) @ xf[:, parents].reshape(padded, -1).T
-                diag = sliding_window_view(prod.reshape(-1), taps_f.size)[off :: padded + stride]
-                gbank[f] += diag.sum(axis=0)
-                for t in range(taps_f.size):
-                    gxp[off + t : off + t + span : stride, parents] += taps_f[t] * g_f
-            # fold the mirrored border back onto its sources
-            end = padded - after
-            gxp[before : 2 * before][::-1] += gxp[:before]
-            gxp[end - after : end][::-1] += gxp[end:]
-            rest = xp.shape[:axis_] + xp.shape[axis_ + 1 :]
-            gstack = np.moveaxis(gxp[before:end].reshape((end - before,) + rest), 0, axis_)
-        return (np.ascontiguousarray(gstack[0]), *gbank)
+        for (axis_, filters), (xs, mats) in zip(levels[::-1], saved[::-1]):
+            gxs = np.zeros(xs.shape, dtype=gstack.dtype)
+            for (f, parents, nodes), m in zip(filters, mats):
+                g_f, x_f = gstack[nodes], xs[parents]
+                out_len, length = m.shape
+                if axis_ == 4:
+                    g_rows = g_f.reshape(-1, out_len)
+                    gxs[parents] += (g_rows @ m).reshape(x_f.shape)
+                    prod = g_rows.T @ x_f.reshape(-1, length)
+                else:  # the height first, then the rest: one product for all maps
+                    g_cols = np.ascontiguousarray(g_f.transpose(3, 0, 1, 2, 4)).reshape(out_len, -1)
+                    gx_f = (m.T @ g_cols).reshape((length,) + g_f.shape[:3] + g_f.shape[4:])
+                    gxs[parents] += gx_f.transpose(1, 2, 3, 0, 4)
+                    prod = g_cols @ np.ascontiguousarray(x_f.swapaxes(3, 4)).reshape(-1, length)
+                gbank[f] += _band_basis(length, tap_vals[f].size, stride) @ prod.reshape(-1)
+            gstack = gxs
+        return (gstack[0], *gbank)
 
     return _record_op(out, (x, *bank), bw)

@@ -17,6 +17,7 @@ from waveray.gradcheck import (
     run_scope,
 )
 from waveray.model import WaveletClassifier, cross_entropy, table1_config
+from waveray.optim import AdamW
 
 
 def _quadratic_probe(rng):
@@ -216,3 +217,24 @@ class TestPaperScale:
 
         assert max(directional.values()) <= self.DIRECTIONAL_TOL, directional
         assert max(drift.values()) <= self.DRIFT_TOL, drift
+
+    def test_learns_four_images_within_ten_steps(self):
+        """The float32 table-1 rays-3 classifier fits 4 seeded 224x224 images
+        of 4 classes: AdamW at lr 1e-3 brings the loss below 1e-2 within 10
+        steps, through every kernel's rounding at 28x28 and 14x14."""
+        config = table1_config(rays=3, classes=4)
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(4, 3, config.input_extent, config.input_extent))
+        labels = np.arange(4)
+        model = WaveletClassifier(config, seed=0)
+        optimizer = AdamW(model.parameters())
+        losses = []
+        for _ in range(10):
+            with Tape() as tape:
+                loss = cross_entropy(model.forward(images), labels)
+            losses.append(loss.item())
+            if losses[-1] < 1e-2:
+                break
+            backward(loss, tape)
+            optimizer.step(lr=1e-3)
+        assert losses[-1] < 1e-2, losses

@@ -378,12 +378,17 @@ class TestSepConv1d:
     @pytest.mark.parametrize("pad_mode", ["symmetric"])
     @pytest.mark.parametrize("klen", [3, 5])
     def test_matches_loop_oracle(self, axis, stride, pad_mode, klen):
+        """Also at filtered extents 2, 3 and 5, where a mirrored window reads
+        one source twice (or, with 5 taps on 2, three times)."""
         gen = np.random.default_rng(axis * 100 + stride * 10 + klen)
-        x = gen.normal(size=(2, 3, 8, 6))
         taps = gen.normal(size=klen)
-        got = sep_conv1d(Tensor(x), Tensor(taps), axis=axis, stride=stride).data
-        want = sep_conv1d_oracle(x, taps, axis, stride)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        for extent in (8 if axis == 2 else 6, 2, 3, 5):
+            shape = [2, 3, 8, 6]
+            shape[axis] = extent
+            x = gen.normal(size=shape)
+            got = sep_conv1d(Tensor(x), Tensor(taps), axis=axis, stride=stride).data
+            want = sep_conv1d_oracle(x, taps, axis, stride)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=f"extent {extent}")
 
     def test_stride1_preserves_extent(self, rng):
         x = Tensor(rng.normal(size=(1, 2, 7, 9)))
