@@ -18,11 +18,19 @@ Symmetric padding keeps a constant map constant under an averaging filter
 right up to the borders, which the zero-padded general convolution cannot
 do.
 
-The two channel-mixing kernels call ``np.matmul`` directly, in the operand
-order and memory layout that numpy's ``einsum(..., optimize=True)`` uses for
-the same contraction: the second einsum operand goes first, rows or columns
-are fused by ``transpose(...).reshape(...)``, and the conv patch matrix is a
-C-ordered copy.  At every layer shape of the models their results are thus
+The 1x1 convolution needs no rearrangement: in NCHW each sample's maps are
+stored as a (C, H*W) matrix, so the forward is the weight times that matrix
+and the input gradient is the transposed weight times the gradient's
+(Chetlur et al., "cuDNN: Efficient Primitives for Deep Learning", 2014).
+Its output and both gradients come out C-ordered.  At the table-1 layers
+this is bit-identical to numpy's einsum; on small desk maps, where OpenBLAS
+picks another kernel, it may round a last bit differently.
+
+The general convolution calls ``np.matmul`` directly, in the operand order
+and memory layout that numpy's ``einsum(..., optimize=True)`` uses for the
+same contraction: the second einsum operand goes first, rows or columns are
+fused by ``transpose(...).reshape(...)``, and the patch matrix is a
+C-ordered copy.  At every layer shape of the models its results are thus
 bit-identical to the einsum formulation, without its per-call path planning.
 Only where einsum squeezes unit extents in several places at once (say a
 grouped conv on 1x1 maps) may it lay an operand out otherwise and round a
@@ -141,6 +149,8 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
     """1x1 convolution: a per-pixel linear map over channels.
 
     ``weight`` is (C_out, C_in); ``bias``, when given, is a (C_out,) vector.
+    Each sample's maps are multiplied as stored, so the output, the input
+    gradient and the weight gradient are C-contiguous.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 4:
@@ -158,18 +168,17 @@ def pointwise_conv(x, weight, bias=None) -> Tensor:
 
     n, _, h, w = x.shape
     xd = x.data
-    x_rows = xd.transpose(0, 2, 3, 1).reshape(n * h * w, cin)
-    out = np.matmul(x_rows, w2.T).reshape(n, h, w, cout).transpose(0, 3, 1, 2)
+    out =np.matmul(w2, xd.reshape(n, cin, h * w)).reshape(n, cout, h, w)
     has_bias = bias is not None
     if has_bias:
         out = out + bias.data.reshape(1, cout, 1, 1)
 
     def bw(g):
+        # (C, N*H*W) columns: views at batch 1, one copy of H*W rows otherwise
         x_cols = xd.transpose(1, 0, 2, 3).reshape(cin, n * h * w)
-        g_rows = g.transpose(0, 2, 3, 1).reshape(n * h * w, cout)
         g_cols = g.transpose(1, 0, 2, 3).reshape(cout, n * h * w)
-        gw = np.matmul(x_cols, g_rows).T
-        gx = np.matmul(w2.T, g_cols).reshape(cin, n, h, w).transpose(1, 0, 2, 3)
+        gw = g_cols @ x_cols.T
+        gx = np.matmul(w2.T, g.reshape(n, cout, h * w)).reshape(n, cin, h, w)
         if not has_bias:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
@@ -302,6 +311,7 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
 
     stack = np.ascontiguousarray(x.data)[None]  # (node, N, C, H, W): one node per path prefix
     saved = []  # per level, what the backward reads: the parents' stack and the matrices
+    built = {}  # (filter, length) -> band matrix: levels along equal extents share one
     for axis_, filters in levels:
         length = stack.shape[axis_]
         out_len = length // stride
@@ -310,9 +320,11 @@ def sep_conv1d(x, taps, axis, stride: int = 1, rounds: int = 1, bands=None) -> T
         level = np.empty(shape, dtype=dtype)
         mats = []
         for f, parents, nodes in filters:
-            # summed in float64, so an entry that sums several taps rounds once
-            m = tap_vals[f] @ _band_basis(length, tap_vals[f].size, stride)
-            m = m.astype(dtype, copy=False).reshape(out_len, length)
+            m = built.get((f, length))
+            if m is None:
+                # summed in float64, so an entry that sums several taps rounds once
+                m = tap_vals[f] @ _band_basis(length, tap_vals[f].size, stride)
+                m = built[f, length] = m.astype(dtype, copy=False).reshape(out_len, length)
             if axis_ == 4:
                 np.matmul(stack[parents].reshape(-1, length), m.T,
                           out=level[nodes].reshape(-1, out_len))

@@ -9,8 +9,8 @@ update is elementwise and correctly rounded, so each element gets the same
 bits as a whole-array update would give it.  A step writes the new values
 into a fresh array and rebinds ``p.data`` once: an array that a caller took
 from ``p.data`` before the step keeps its values.  The moments are updated
-in place.  A gradient may have any memory layout: this module is the one
-place that copies a strided gradient to C order.
+in place.  A gradient may have any memory layout; a strided one (the stem
+kernel's) is read through one C-order copy.
 """
 
 from __future__ import annotations
@@ -31,27 +31,6 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # L2 cache, so each element leaves main memory once per array.  Blocks of
 # 4096 elements gain nothing, as per-call overhead grows; 16K to 64K do alike.
 _BLOCK = 1 << 15
-
-# Side of the square tiles in which a transposed 2-d gradient (the weight
-# gradient of a 1x1 convolution) is copied to C order.  numpy copies it row by
-# row, and each element of a row then lies on another page; tile by tile, each
-# page visited supplies 128 elements.  A (4096, 1024) float32 gradient copies
-# in about 12 ms instead of 28 ms; at (512, 512), which fits in L2, both take
-# about 0.6 ms.  Tiles of 32 or 256 are slower.
-_TILE = 128
-
-
-def _flat(a: np.ndarray) -> np.ndarray:
-    """``a`` in C order as a 1-d array: a view when ``a`` is C-contiguous,
-    else a copy."""
-    if a.ndim != 2 or a.flags.c_contiguous:
-        return a.reshape(-1)
-    out = np.empty(a.shape, a.dtype)
-    for r in range(0, a.shape[0], _TILE):
-        for c in range(0, a.shape[1], _TILE):
-            out[r:r + _TILE, c:c + _TILE] = a[r:r + _TILE, c:c + _TILE]
-    return out.reshape(-1)
-
 
 @dataclass
 class OptimizerState:
@@ -96,8 +75,8 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState, lr: float,
             v = state.v[name]
         new = np.empty(p.shape, p.dtype)
         # new, m and v are C-contiguous, so their flat forms are views that the
-        # blocks write through; a strided gradient is copied here
-        flat_p, flat_g, flat_new = _flat(p.data), _flat(p.grad), new.reshape(-1)
+        # blocks write through; reshape copies only a strided gradient
+        flat_p, flat_g, flat_new = p.data.reshape(-1), p.grad.reshape(-1), new.reshape(-1)
         flat_m, flat_v = m.reshape(-1), v.reshape(-1)
         for start in range(0, flat_p.size, _BLOCK):
             block = slice(start, start + _BLOCK)

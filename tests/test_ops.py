@@ -8,6 +8,7 @@ not accumulation order.
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scipy.ndimage import correlate1d
 from waveray.autodiff import Tape, Tensor, add, backward, concat, gelu, mul, reduce_sum
 from waveray.errors import ShapeError
 from waveray.model import WaveletClassifier, cross_entropy, desk_config
+from waveray import ops
 from waveray.ops import conv2d, pointwise_conv, sep_conv1d
 
 try:  # numpy >= 2.4 contracts each einsum pair with one matmul
@@ -362,6 +364,34 @@ class TestPointwiseConv:
         if bias:
             np.testing.assert_allclose(gb, want_gb, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    @pytest.mark.parametrize("extent", [1, 2, 14])
+    def test_results_are_c_contiguous(self, n, extent):
+        """The output, gx and gw come out of their matmuls in C order, so neither the
+        next op nor the optimizer copies them."""
+        gen = np.random.default_rng(n + extent)
+        x = gen.normal(size=(n, 16, extent, extent)).astype(np.float32)
+        w = gen.normal(size=(8, 16)).astype(np.float32)
+        gout = gen.normal(size=(n, 8, extent, extent)).astype(np.float32)
+        out, (gx, gw) = pull_back(pointwise_conv, (x, w), gout)
+        assert out.flags.c_contiguous and gx.flags.c_contiguous and gw.flags.c_contiguous
+
+    def test_untaped_forward_allocates_only_its_output(self):
+        """A table-1 (2, 1024, 14, 14) -> 4096 mix with no node to record rearranges
+        nothing: its traced peak is the output's bytes plus at most 1 MiB."""
+        gen = np.random.default_rng(0)
+        x = Tensor(gen.normal(size=(2, 1024, 14, 14)).astype(np.float32))
+        w = Tensor(gen.normal(size=(4096, 1024)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = pointwise_conv(x, w)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2, 4096, 14, 14)
+        assert peak <= out.data.nbytes + (1 << 20)
+
     def test_float32_stays_float32(self, rng):
         x = rng.normal(size=(2, 5, 3, 3)).astype(np.float32)
         w = rng.normal(size=(4, 5)).astype(np.float32)
@@ -512,6 +542,20 @@ class TestSepConv1dBank:
             sep_conv1d(x, (low, high), axis=(3, 2), rounds=2)
         assert len(tape) == 1
 
+    @pytest.mark.parametrize("extent, lookups", [((4, 4), 2), ((4, 6), 4)])
+    def test_each_band_matrix_is_built_once_per_call(self, monkeypatch, rng, extent, lookups):
+        """A rounds-2 block call filters along each axis twice: levels of equal extent
+        share one matrix per filter, so a square map needs half the matrices."""
+        calls = []
+        original = ops._band_basis
+        monkeypatch.setattr(ops, "_band_basis",
+                            lambda *key: calls.append(key) or original(*key))
+        x = Tensor(rng.normal(size=(1, 2, *extent)).astype(np.float32))
+        low = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
+        high = Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True)
+        sep_conv1d(x, (low, high), axis=(3, 2), rounds=2)
+        assert len(calls) == lookups
+
     @pytest.mark.parametrize("bands", [(), ((),), (((0,),),), (((0, 2),),)])
     def test_malformed_bands_rejected(self, bands):
         x = Tensor(np.ones((1, 1, 8, 8)))
@@ -641,15 +685,19 @@ def test_desk_step_calls_no_einsum(monkeypatch):
 
 @pytest.mark.skipif(not EINSUM_ISSUES_MATMUL, reason="this numpy's einsum lays out its matmul differently")
 class TestEinsumBitIdentity:
-    """Each kernel issues the matmul numpy's einsum issues for the same contraction, in the
-    same layout, so float32 results equal the einsum formulation bit for bit (checkpoints and
-    the rounding-sensitive training criteria depend on it)."""
+    """Each kernel issues a documented sequence of matmuls, so float32 results are pinned bit
+    for bit (checkpoints and the rounding-sensitive training criteria depend on it).  conv2d
+    issues the matmul numpy's einsum issues for the same contraction, in the same layout;
+    pointwise_conv multiplies each sample's maps as stored, which equals einsum at the
+    table-1 layers and may round a last bit differently on small desk maps."""
+
+    TABLE1_POINTWISE = [(1, 128, 48, 56), (2, 128, 48, 56), (1, 1024, 4096, 14)]
 
     @pytest.mark.parametrize(
         "n, cin, cout, extent",
         [(n, *s) for n in (1, 64) for s in [(16, 4, 4), (16, 64, 4), (32, 128, 2), (64, 32, 2),
                                              (128, 32, 2), (32, 12, 8)]]  # desk layers
-        + [(1, 128, 48, 56), (2, 128, 48, 56), (1, 1024, 4096, 14)],  # table-1 layers
+        + TABLE1_POINTWISE,
     )
     def test_pointwise(self, n, cin, cout, extent):
         gen = np.random.default_rng(n + cin + cout)
@@ -657,9 +705,15 @@ class TestEinsumBitIdentity:
         w = gen.normal(size=(cout, cin)).astype(np.float32)
         gout = gen.normal(size=(n, cout, extent, extent)).astype(np.float32)
         out, (gx, gw) = pull_back(pointwise_conv, (x, w), gout)
-        assert np.array_equal(out, np.einsum("oc,nchw->nohw", w, x, optimize=True))
-        assert np.array_equal(gw, np.einsum("nohw,nchw->oc", gout, x, optimize=True))
-        assert np.array_equal(gx, np.einsum("nohw,oc->nchw", gout, w, optimize=True))
+        # the per-sample formulation: W @ maps, W^T @ gradient maps, gradient columns @ x columns^T
+        assert np.array_equal(out, np.matmul(w, x.reshape(n, cin, -1)).reshape(out.shape))
+        assert np.array_equal(gx, np.matmul(w.T, gout.reshape(n, cout, -1)).reshape(x.shape))
+        g_cols = gout.transpose(1, 0, 2, 3).reshape(cout, -1)
+        assert np.array_equal(gw, g_cols @ x.transpose(1, 0, 2, 3).reshape(cin, -1).T)
+        if (n, cin, cout, extent) in self.TABLE1_POINTWISE:  # table-1 forwards are unchanged
+            assert np.array_equal(out, np.einsum("oc,nchw->nohw", w, x, optimize=True))
+            assert np.array_equal(gw, np.einsum("nohw,nchw->oc", gout, x, optimize=True))
+            assert np.array_equal(gx, np.einsum("nohw,oc->nchw", gout, w, optimize=True))
 
     @pytest.mark.parametrize("n, extent, cout",
                              [(1, 32, 8), (64, 32, 8), (1, 224, 32), (2, 224, 32)])

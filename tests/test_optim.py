@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from waveray.autodiff import _DTYPES, Tensor
+from waveray.autodiff import _DTYPES, Tape, Tensor, backward
 from waveray.errors import ConfigError, GraphError, ShapeError
+from waveray.model import WaveletClassifier, cross_entropy, desk_config, table1_config
 from waveray.optim import (
     _BLOCK,
     BETA1,
@@ -145,8 +146,8 @@ def whole_array_adamw(p, g, m, v, t, lr, wd):
 class TestBlockWalk:
     @pytest.mark.parametrize("mode", ["single", "double"])
     def test_blocks_match_whole_array_update(self, rng, mode):
-        """Three blocks and a ragged tail, with a transposed gradient whose
-        sides are not multiples of the copy's tile."""
+        """Three blocks and a ragged tail, with a transposed gradient, which the
+        step reads through one C-order copy."""
         shape = (131, 3 * _BLOCK // 131 + 1)
         assert 3 * _BLOCK < shape[0] * shape[1] < 4 * _BLOCK
         p = Tensor(rng.normal(size=shape).astype(_DTYPES[mode]), requires_grad=True)
@@ -172,6 +173,30 @@ class TestBlockWalk:
         assert not np.shares_memory(p.data, held)
         assert np.all(held == 1.0)
         assert np.all(p.data < 1.0)
+
+
+class TestGradientLayout:
+    @pytest.mark.parametrize("config, n", [(desk_config(rays=3), 64),
+                                           (table1_config(rays=0), 1)],
+                             ids=["desk-rays3", "table1-rays0"])
+    def test_step_gradients_reach_the_update_in_c_order(self, config, n):
+        """Every 2-d gradient of a step (the 1x1 mixes', the head's) is C-contiguous, so the
+        update's ``reshape(-1)`` is a view; only the stem kernel's 4-d gradient is strided
+        and copied."""
+        model = WaveletClassifier(config, seed=0)
+        gen = np.random.default_rng(0)
+        extent = config.input_extent
+        images = gen.normal(0.5, 0.25, size=(n, 3, extent, extent)).astype(np.float32)
+        with Tape() as tape:
+            loss = cross_entropy(model.forward(images), gen.integers(0, config.classes, size=n))
+        backward(loss, tape)
+        params = model.parameters()
+        assert all(p.grad.flags.c_contiguous for p in params.values() if p.ndim == 2)
+        assert [name for name, p in params.items() if not p.grad.flags.c_contiguous] == [
+            "stem.kernel"]
+        assert not np.shares_memory(params["stem.kernel"].grad.reshape(-1),
+                                    params["stem.kernel"].grad)
+        adamw_step(params, OptimizerState(), lr=1e-3, weight_decay=0.05)
 
 
 class TestFailedStep:
