@@ -29,6 +29,13 @@ exact two-sided binomial p-value of the split between b and c (McNemar's
 exact test).  The gate fails if, for either criterion, b > c with p < 0.05;
 ``claims`` then exits 1.
 
+``claims`` also reports one continuous statistic, which the gate does not
+read: per seed, the rays-3 minus rays-0 epochs-to-final (criterion 6's
+margin, negative when rays 3 is faster).  It gives each column's median,
+the 12 paired differences second minus first, and the exact two-sided
+sign-flip p-value of their sum: the share of the 2^12 ways of flipping the
+differences' signs whose sum is at least as far from 0.
+
 Each seed records, at both ray budgets, the epoch at which top-1 first
 reaches its final value, the final top-1 and the training seconds; at rays
 3 the mean origin radius before training and after the last epoch, the
@@ -39,9 +46,11 @@ prod(1 - lr_t * weight_decay) of the schedule.
 import argparse
 import concurrent.futures
 import io
+import itertools
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -145,6 +154,20 @@ def binomial_two_sided(b: int, c: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
+def epochs_gap(record: dict) -> int:
+    """Rays-3 minus rays-0 epochs-to-final of one seed."""
+    return record["rays3"]["epochs_to_final"] - record["rays0"]["epochs_to_final"]
+
+
+def sign_flip_two_sided(diffs: list) -> float:
+    """Exact two-sided p-value of the sum of paired differences under
+    random signs: each of the 2^n sign patterns is equally likely."""
+    observed = abs(sum(diffs))
+    hits = sum(abs(sum(s * d for s, d in zip(signs, diffs))) >= observed
+               for signs in itertools.product((1, -1), repeat=len(diffs)))
+    return hits / 2 ** len(diffs)
+
+
 def claims(args) -> int:
     first, second = (json.loads(Path(p).read_text()) for p in (args.first, args.second))
     by_seed = [{r["seed"]: r for r in col["seeds"]} for col in (first, second)]
@@ -166,6 +189,14 @@ def claims(args) -> int:
             "gate_fails": len(b) > len(c) and p < ALPHA,
         }
     holds = not any(c["gate_fails"] for c in criteria.values())
+    gaps = [[epochs_gap(col[s]) for s in SEEDS] for col in by_seed]
+    diffs = [z - a for a, z in zip(*gaps)]
+    gap = {
+        f"median_{first['label']}": statistics.median(gaps[0]),
+        f"median_{second['label']}": statistics.median(gaps[1]),
+        f"paired_{second['label']}_minus_{first['label']}": diffs,
+        "sign_flip_p_two_sided": sign_flip_two_sided(diffs),
+    }
     out = {
         "preregistered": {
             "seeds": SEEDS,
@@ -175,14 +206,20 @@ def claims(args) -> int:
             "criteria": "6 and 7, computed as tests/test_acceptance.py computes them",
             "statistic": "exact two-sided binomial test of the discordant split b:c",
             "gate": f"fails if b > c with p < {ALPHA} for either criterion",
+            "reported": "per seed, rays-3 minus rays-0 epochs-to-final: each column's median "
+                        "and the exact two-sided sign-flip p-value of the paired differences; "
+                        "not gated",
         },
         "criteria": criteria,
         "gate_holds": holds,
+        "epochs_gap_rays3_minus_rays0": gap,
         "columns": {col["label"]: col["seeds"] for col in (first, second)},
     }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     for key, c in criteria.items():
         print(f"{key}: " + ", ".join(f"{k} {v}" for k, v in c.items()))
+    print("epochs gap, rays 3 minus rays 0 (reported, not gated): "
+          + ", ".join(f"{k} {v}" for k, v in gap.items()))
     print("gate holds" if holds else "gate FAILS")
     return 0 if holds else 1
 

@@ -529,17 +529,70 @@ _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _LN_EPS = 1e-5
 
+# Float32 erf(t) ~ tanh(t * P(t^2)) on t clamped to [-3.9, 3.9].  P's
+# coefficients (constant term first) are a least-squares fit of
+# atanh(erf(x)) / x as a degree-6 polynomial in x^2 on [1e-4, 3.9], over
+# 4000 points weighted by (1 - erf(x)^2) * x, rounded to float32.  The
+# constants are 0-d float32 arrays: a ufunc call takes them faster than
+# Python floats.
+_ERF32_P = tuple(np.array(a, np.float32) for a in (
+    1.1283798217773438, 0.10276468843221664, -0.00018245948012918234,
+    -0.0006274713086895645, 9.040337317856029e-05, -6.103537089074962e-06,
+    1.6599560126451252e-07))
+_ERF32_HI, _ERF32_LO = np.array(3.9, np.float32), np.array(-3.9, np.float32)
+_INV_SQRT2_32 = np.array(_INV_SQRT2, np.float32)
+_ONE_32, _HALF_32 = np.array(1.0, np.float32), np.array(0.5, np.float32)
+_CDF32_BLOCK = 1 << 15  # elements per block: the temporaries stay in cache
+
+
+def _normal_cdf32(d: np.ndarray) -> np.ndarray:
+    """Phi(d) for float32 ``d`` as ``0.5 * (1 + erf(d / sqrt(2)))``, with
+    ``erf`` from the tanh form above (|error| <= 1.2e-7 against float64).
+    It runs in place in the result, a block of elements at a time."""
+    src = d.reshape(-1)  # tensor data is C-contiguous
+    cdf = np.empty(d.shape, np.float32)
+    dst = cdf.reshape(-1)
+    s = np.empty(min(src.size, _CDF32_BLOCK), np.float32)
+    p = np.empty_like(s)
+    for i in range(0, src.size, _CDF32_BLOCK):
+        t = dst[i:i + _CDF32_BLOCK]
+        sb, pb = s[:t.size], p[:t.size]
+        np.multiply(src[i:i + _CDF32_BLOCK], _INV_SQRT2_32, out=t)
+        np.minimum(t, _ERF32_HI, out=t)
+        np.maximum(t, _ERF32_LO, out=t)
+        np.multiply(t, t, out=sb)
+        np.multiply(sb, _ERF32_P[6], out=pb)
+        np.add(pb, _ERF32_P[5], out=pb)
+        for a in _ERF32_P[4::-1]:
+            np.multiply(pb, sb, out=pb)
+            np.add(pb, a, out=pb)
+        np.multiply(t, pb, out=t)
+        np.tanh(t, out=t)
+        np.add(t, _ONE_32, out=t)
+        np.multiply(t, _HALF_32, out=t)
+    return cdf
+
 
 def gelu(x) -> Tensor:
-    """Exact (erf-based) GELU.  When its node will be recorded, the forward
-    also forms the slope ``cdf + d * pdf``, the one array its backward reads."""
+    """Exact (erf-based) GELU, ``d * Phi(d)``.  When its node will be
+    recorded, the forward also forms the slope ``cdf + d * pdf``, the one
+    array its backward reads.
+
+    Float64 takes ``Phi`` from ``scipy.special.erf``, the reference of the
+    gradient checks.  Float32 takes it from :func:`_normal_cdf32`, within
+    1.2e-7 of float64: scipy's float32 erf evaluates in double and costs
+    20-50 times ``np.exp``.  Its ``np.tanh`` follows numpy's SIMD dispatch,
+    so its last bits depend on the machine, as ``np.exp``'s already do."""
     x = _as_tensor(x)
     d = x.data
-    cdf = 0.5 * (1.0 + _erf(d * _INV_SQRT2))
-    out = d * cdf
+    if d.dtype == np.float32:
+        cdf = _normal_cdf32(d)
+    else:
+        cdf = 0.5 * (1.0 + _erf(d * _INV_SQRT2))
     slope = None
     if _records((x,)):
         slope = cdf + d * (np.exp(-0.5 * d * d) * _INV_SQRT_2PI)
+    out = np.multiply(d, cdf, out=cdf)
 
     def bw(g):
         return (g * slope,)

@@ -314,6 +314,63 @@ class TestMatmulSoftmaxGelu:
         np.testing.assert_allclose(out, [norm.cdf(1.0)], rtol=1e-6)
 
 
+def gelu_and_slope(d):
+    """GELU's output and slope (the gradient of its sum), recorded."""
+    x = Tensor(d, requires_grad=True)
+    with Tape() as tape:
+        out = ad.gelu(x)
+        loss = ad.reduce_sum(out)
+    backward(loss, tape)
+    return out.data, x.grad
+
+
+class TestGeluPrecision:
+    """Float32 GELU's tanh-form normal CDF against float64, and float64 GELU
+    against scipy's erf, bit for bit."""
+
+    def test_float32_against_float64_on_a_dense_grid(self):
+        from scipy.special import erf
+
+        d = np.linspace(-8.0, 8.0, 1 << 22, dtype=np.float32)
+        wide = d.astype(np.float64)
+        exact = 0.5 * (1.0 + erf(wide / np.sqrt(2.0)))
+        # Measured: 1.10e-7 on the cdf (scipy's float32 erf: 6.1e-8) and
+        # 5.6e-7 on GELU.
+        assert np.abs(ad._normal_cdf32(d) - exact).max() <= 1.2e-7
+        assert np.abs(ad.gelu(Tensor(d)).data - wide * exact).max() <= 6e-7
+
+    def test_float32_special_values(self):
+        d = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], np.float32)
+        with np.errstate(invalid="ignore"):  # the slope at +-inf is inf * 0
+            out, slope = gelu_and_slope(d)
+        assert out.dtype == slope.dtype == np.float32
+        assert np.isnan(out[0]) and out[1] == np.inf
+        assert not np.isfinite(out[2])  # divergence stays visible
+        assert out[3] == 0.0 and out[4] == 0.0
+        assert not np.signbit(out[3]) and np.signbit(out[4])
+
+    def test_float32_is_elementwise_across_blocks(self, rng):
+        # 3 x 11200 elements: the first block ends inside the third sample.
+        d = rng.normal(0.0, 3.0, size=(3, 7, 40, 40)).astype(np.float32)
+        assert d.size > ad._CDF32_BLOCK
+        whole = ad.gelu(Tensor(d)).data
+        for i in range(len(d)):
+            np.testing.assert_array_equal(ad.gelu(Tensor(d[i:i + 1])).data, whole[i:i + 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_recorded_and_unrecorded_outputs_agree(self, rng, dtype):
+        d = rng.normal(0.0, 3.0, size=(2, 5, 6, 6)).astype(dtype)
+        recorded, _ = gelu_and_slope(d)
+        np.testing.assert_array_equal(recorded, ad.gelu(Tensor(d)).data)
+
+    def test_float64_is_scipy_erf_bit_for_bit(self, rng):
+        from scipy.special import erf
+
+        d = rng.normal(0.0, 3.0, size=(4, 1000))
+        expected = d * (0.5 * (1.0 + erf(d * (1.0 / np.sqrt(2.0)))))
+        np.testing.assert_array_equal(ad.gelu(Tensor(d)).data, expected)
+
+
 class TestLayerNormPool:
     def test_layer_norm_moments(self, rng):
         x = Tensor(rng.normal(3.0, 2.0, size=(2, 16, 4, 4)))
